@@ -3,7 +3,8 @@
 Bundles round-trip byte-identically: saving the same trained state twice
 produces identical files, and loading then saving reproduces the original
 bytes. The KDEs serialize as their raw samples and bandwidths, so a bundle
-is self-contained.
+is self-contained. A bundle with a missing, mistyped or inconsistent part
+fails to load with DataError.
 """
 
 from __future__ import annotations
@@ -14,32 +15,32 @@ from pathlib import Path
 
 import numpy as np
 
-from domm.core import DataError, canonical_json
+from domm.core import DataError, canonical_json, checked_from_dict
 from domm.omsvm import OmsvmModel
 from domm.ranksvm import RankModel
 from domm.transitions import TransitionModel
 
 __all__ = ["FORMAT_VERSION", "ModelBundle", "load_model_bundle", "save_model_bundle"]
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)
 class ModelBundle:
-    mean: np.ndarray
-    std: np.ndarray
     omsvm: OmsvmModel
     ranker: RankModel | None
     transitions: TransitionModel | None
     class_counts: np.ndarray
     config_hash: str
     seed: int
-    format_version: int = FORMAT_VERSION
+
+    def __post_init__(self):
+        if self.class_counts.shape != (3,):
+            raise DataError("bundle class_counts must hold one count per state")
 
     def to_dict(self) -> dict:
         return {
-            "format_version": self.format_version,
-            "standardization": {"mean": self.mean.tolist(), "std": self.std.tolist()},
+            "format_version": FORMAT_VERSION,
             "omsvm": self.omsvm.to_dict(),
             "ranksvm": self.ranker.to_dict() if self.ranker is not None else None,
             "transitions": self.transitions.to_dict() if self.transitions is not None else None,
@@ -47,7 +48,7 @@ class ModelBundle:
             "provenance": {"config_hash": self.config_hash, "seed": self.seed},
         }
 
-    @classmethod
+    @checked_from_dict
     def from_dict(cls, d: dict) -> "ModelBundle":
         version = int(d.get("format_version", -1))
         if version != FORMAT_VERSION:
@@ -55,8 +56,6 @@ class ModelBundle:
                 f"unsupported bundle format_version {version}, expected {FORMAT_VERSION}"
             )
         return cls(
-            mean=np.asarray(d["standardization"]["mean"], dtype=float),
-            std=np.asarray(d["standardization"]["std"], dtype=float),
             omsvm=OmsvmModel.from_dict(d["omsvm"]),
             ranker=RankModel.from_dict(d["ranksvm"]) if d["ranksvm"] is not None else None,
             transitions=(
@@ -67,7 +66,6 @@ class ModelBundle:
             class_counts=np.asarray(d["class_counts"], dtype=int),
             config_hash=str(d["provenance"]["config_hash"]),
             seed=int(d["provenance"]["seed"]),
-            format_version=version,
         )
 
 

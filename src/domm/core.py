@@ -8,6 +8,7 @@ objects always produce identical bytes.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from enum import IntEnum
@@ -22,11 +23,12 @@ __all__ = [
     "DataError",
     "DatasetManifest",
     "ManifestEntry",
-    "N_STATES",
     "Preprocessing",
     "RolSequence",
     "UtteranceFeatures",
+    "average_ranks",
     "canonical_json",
+    "checked_from_dict",
     "format_float",
     "load_manifest",
     "parse_annotations",
@@ -43,15 +45,25 @@ class DataError(Exception):
     """Malformed input file, config, or inconsistent dataset."""
 
 
+def checked_from_dict(from_dict):
+    """``classmethod`` for a ``from_dict`` whose missing or mistyped keys raise DataError."""
+
+    @functools.wraps(from_dict)
+    def wrapper(cls, d):
+        try:
+            return from_dict(cls, d)
+        except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"malformed {cls.__name__}: {type(exc).__name__}: {exc}") from exc
+
+    return classmethod(wrapper)
+
+
 class AolState(IntEnum):
     """Absolute ordinal level. The total order LOW < MEDIUM < HIGH is load-bearing."""
 
     LOW = 0
     MEDIUM = 1
     HIGH = 2
-
-
-N_STATES = 3
 
 
 @dataclass(frozen=True)
@@ -164,6 +176,18 @@ class RolSequence:
 
     def __len__(self) -> int:
         return self.ranks.size
+
+
+def average_ranks(values) -> np.ndarray:
+    """1-based ascending ranks of a 1-D array; tied values share their mean rank."""
+    x = np.asarray(values)
+    order = np.argsort(x, kind="stable")
+    ordered = x[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    counts = np.diff(np.r_[starts, x.size])
+    ranks = np.empty(x.size)
+    ranks[order] = np.repeat(starts + (counts + 1) / 2.0, counts)
+    return ranks
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,8 @@ for byte and independent of fold execution order.
 from __future__ import annotations
 
 import hashlib
+import math
+import numbers
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -40,7 +42,7 @@ from domm.core import (
 from domm.decoder import StateLattice, framewise_argmax, viterbi_decode
 from domm.labels import ThresholdConfig, convert_annotation_set
 from domm.metrics import DegenerateMarginalsError, kendall_tau, precision_at_k, uar, weighted_kappa
-from domm.omsvm import state_posteriors, train_omsvm
+from domm.omsvm import DIRECTIONS, state_posteriors, train_omsvm
 from domm.ranksvm import build_pairs, ranks_from_scores, score_frames, train_ranksvm
 from domm.svm import fit_standardization
 from domm.transitions import fit_transition_model
@@ -63,6 +65,13 @@ VARIANTS = ("omsvm-only", "domm-rs", "domm-gt")
 EVAL_KS = (10, 20, 30, 40, 50)
 
 
+def _positive(x, integral: bool = False, or_zero: bool = False) -> bool:
+    """A finite number (an integer if ``integral``, never a bool) above 0, or at least 0."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral if integral else numbers.Real):
+        return False
+    return (isinstance(x, numbers.Integral) or math.isfinite(x)) and (x >= 0 if or_zero else x > 0)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     variant: str = "domm-rs"
@@ -72,15 +81,28 @@ class ExperimentConfig:
     direction: str = "forward"
     bandwidth: object = "silverman"
     min_cell_samples: int = 10
-    denominator_mode: str = "separate-kde"
     divide_by_prior: bool = False
     use_normalized_ranks: bool = True
     eps_tie: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise DataError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
+        for key, ok, expected in (
+            ("variant", self.variant in VARIANTS, f"one of {VARIANTS}"),
+            ("svm_c", _positive(self.svm_c), "a positive number"),
+            ("rank_c", _positive(self.rank_c), "a positive number"),
+            ("pair_cap", _positive(self.pair_cap, integral=True), "a positive integer"),
+            ("direction", self.direction in DIRECTIONS, f"one of {DIRECTIONS}"),
+            ("bandwidth", self.bandwidth == "silverman" or _positive(self.bandwidth),
+             '"silverman" or a positive number'),
+            ("min_cell_samples", _positive(self.min_cell_samples, integral=True), "a positive integer"),
+            ("divide_by_prior", isinstance(self.divide_by_prior, bool), "true or false"),
+            ("use_normalized_ranks", isinstance(self.use_normalized_ranks, bool), "true or false"),
+            ("eps_tie", _positive(self.eps_tie, or_zero=True), "a number >= 0"),
+            ("seed", _positive(self.seed, integral=True, or_zero=True), "an integer >= 0"),
+        ):
+            if not ok:
+                raise DataError(f"config {key} must be {expected}, got {getattr(self, key)!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -91,7 +113,6 @@ class ExperimentConfig:
             "direction": self.direction,
             "bandwidth": self.bandwidth,
             "min_cell_samples": self.min_cell_samples,
-            "denominator_mode": self.denominator_mode,
             "divide_by_prior": self.divide_by_prior,
             "use_normalized_ranks": self.use_normalized_ranks,
             "eps_tie": self.eps_tie,
@@ -100,6 +121,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        if not isinstance(d, dict):
+            raise DataError("experiment config must be a JSON object")
         unknown = set(d) - set(cls().to_dict())
         if unknown:
             raise DataError(f"unknown experiment config keys {sorted(unknown)}")
@@ -195,14 +218,11 @@ def fit_bundle(entries, labels, config: ExperimentConfig) -> ModelBundle:
         transitions = fit_transition_model(
             aols,
             rols,
-            denominator_mode=config.denominator_mode,
             bandwidth=config.bandwidth,
             min_cell_samples=config.min_cell_samples,
             use_normalized_ranks=config.use_normalized_ranks,
         )
     return ModelBundle(
-        mean=standardization[0],
-        std=standardization[1],
         omsvm=omsvm,
         ranker=ranker,
         transitions=transitions,

@@ -13,18 +13,17 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import rankdata
 
 from domm.core import (
     AnnotationSet,
     AolSequence,
     DataError,
     RolSequence,
+    average_ranks,
     format_float,
 )
 
 __all__ = [
-    "BalanceReport",
     "DECREASE",
     "INCREASE",
     "SweepRow",
@@ -79,13 +78,6 @@ class ThresholdConfig:
             theta2=float(m["theta2"]),
             boundary_mode=str(m.get("boundary_mode", "text-rule")),
         )
-
-
-@dataclass(frozen=True)
-class BalanceReport:
-    gamma: float
-    agreement: float
-    per_class_counts: tuple[int, int, int]
 
 
 @dataclass(frozen=True)
@@ -176,17 +168,12 @@ def consensus_aol(per_annotator: list[AolSequence]) -> AolSequence:
     return AolSequence(per_annotator[0].utterance_id, out)
 
 
-def _pooled_counts(sequences) -> np.ndarray:
+def label_balance(sequences) -> float:
+    """Difference in relative frequency between the most and least frequent labels."""
     seqs = [sequences] if isinstance(sequences, AolSequence) else list(sequences)
     if not seqs:
         raise DataError("no label sequences")
-    pooled = np.concatenate([s.labels for s in seqs])
-    return np.bincount(pooled, minlength=3)
-
-
-def label_balance(sequences) -> float:
-    """Difference in relative frequency between the most and least frequent labels."""
-    counts = _pooled_counts(sequences)
+    counts = np.bincount(np.concatenate([s.labels for s in seqs]), minlength=3)
     return float(abs(int(counts.max()) - int(counts.min())) / counts.sum())
 
 
@@ -200,15 +187,6 @@ def inter_rater_agreement(per_annotator: list[AolSequence]) -> float:
     stack = np.stack([s.labels for s in per_annotator])
     counts = _vote_counts(stack)
     return float(np.mean(counts.max(axis=1) > stack.shape[0] / 2.0))
-
-
-def balance_report(per_annotator: list[AolSequence]) -> BalanceReport:
-    counts = _pooled_counts(per_annotator)
-    return BalanceReport(
-        gamma=label_balance(per_annotator),
-        agreement=inter_rater_agreement(per_annotator),
-        per_class_counts=(int(counts[0]), int(counts[1]), int(counts[2])),
-    )
 
 
 def sweep_thresholds(
@@ -310,7 +288,7 @@ def ranks_from_consensus(matrix: np.ndarray, utterance_id: str = "") -> RolSeque
     wins = (m == INCREASE).sum(axis=0)
     losses = (m == DECREASE).sum(axis=0)
     scores = wins - losses
-    return RolSequence.from_ranks(utterance_id, rankdata(scores, method="average"))
+    return RolSequence.from_ranks(utterance_id, average_ranks(scores))
 
 
 def convert_annotation_set(

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from domm.core import AolState, DataError
+from domm.core import AolState, DataError, checked_from_dict
 from domm.svm import (
     LinearModel,
     PlattCalibration,
@@ -61,7 +61,7 @@ class OmsvmModel:
             ],
         }
 
-    @classmethod
+    @checked_from_dict
     def from_dict(cls, d: dict) -> "OmsvmModel":
         return cls(
             stage_models=tuple(

@@ -16,9 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
-from domm.core import DataError, RolSequence
+from domm.core import DataError, RolSequence, average_ranks
 from domm.svm import LinearModel, decision_values, fit_standardization, newton_squared_hinge
 
 __all__ = [
@@ -105,4 +104,6 @@ def ranks_from_scores(scores, utterance_id: str = "") -> RolSequence:
     s = np.asarray(scores, dtype=float)
     if s.size < 1:
         raise DataError("cannot rank an empty score sequence")
-    return RolSequence.from_ranks(utterance_id, rankdata(s, method="average"))
+    if not np.all(np.isfinite(s)):
+        raise DataError(f"{utterance_id}: cannot rank non-finite scores")
+    return RolSequence.from_ranks(utterance_id, average_ranks(s))

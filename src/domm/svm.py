@@ -15,9 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
-from domm.core import DataError
+from domm.core import DataError, checked_from_dict
 
 __all__ = [
     "LinearModel",
@@ -47,13 +46,15 @@ class LinearModel:
     std: np.ndarray
 
     def __post_init__(self):
+        if not (self.weights.ndim == 1 and self.mean.shape == self.std.shape == self.weights.shape):
+            raise DataError("LinearModel weights, mean and std must be equal-length vectors")
         if not (
             np.all(np.isfinite(self.weights))
             and np.isfinite(self.bias)
             and np.all(np.isfinite(self.mean))
             and np.all(self.std > 0)
         ):
-            raise ValueError("LinearModel parameters must be finite with positive std")
+            raise DataError("LinearModel parameters must be finite with positive std")
 
     def to_dict(self) -> dict:
         return {
@@ -63,7 +64,7 @@ class LinearModel:
             "std": self.std.tolist(),
         }
 
-    @classmethod
+    @checked_from_dict
     def from_dict(cls, d: dict) -> "LinearModel":
         return cls(
             weights=np.asarray(d["weights"], dtype=float),
@@ -83,9 +84,15 @@ class PlattCalibration:
     def to_dict(self) -> dict:
         return {"a": float(self.a), "b": float(self.b)}
 
-    @classmethod
+    @checked_from_dict
     def from_dict(cls, d: dict) -> "PlattCalibration":
         return cls(a=float(d["a"]), b=float(d["b"]))
+
+
+def _sigmoid(x):
+    """1 / (1 + exp(-x)); where exp(-x) overflows to inf the result is exactly 0."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 def fit_standardization(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -121,14 +128,7 @@ def objective_and_gradient(params, inputs, targets, c, fit_bias=True):
     return obj, grad_w
 
 
-def newton_squared_hinge(
-    inputs,
-    targets,
-    c,
-    fit_bias=True,
-    max_steps=MAX_NEWTON_STEPS,
-    grad_tol=GRAD_TOL,
-):
+def newton_squared_hinge(inputs, targets, c, fit_bias=True):
     """Minimize the squared-hinge objective; returns (params, objective trace).
 
     The trace records the objective after each accepted step (first entry is
@@ -146,8 +146,8 @@ def newton_squared_hinge(
 
     obj, grad = objective_and_gradient(params, inputs, targets, c, fit_bias)
     trace = [obj]
-    for _ in range(max_steps):
-        if np.linalg.norm(grad) <= grad_tol:
+    for _ in range(MAX_NEWTON_STEPS):
+        if np.linalg.norm(grad) <= GRAD_TOL:
             break
         scores = inputs @ (params[:-1] if fit_bias else params) + (params[-1] if fit_bias else 0.0)
         active = (1.0 - targets * scores) > 0.0
@@ -240,7 +240,7 @@ def fit_platt(scores, labels) -> PlattCalibration:
     a, b = 0.0, np.log((n_neg + 1.0) / (n_pos + 1.0))
     obj = cross_entropy(a, b)
     for _ in range(100):
-        p = expit(-(a * y + b))
+        p = _sigmoid(-(a * y + b))
         resid = t - p  # dCE/df
         g = np.array([resid @ y, resid.sum()])
         if np.max(np.abs(g)) < 1e-10:
@@ -266,6 +266,6 @@ def fit_platt(scores, labels) -> PlattCalibration:
 
 def platt_probability(cal: PlattCalibration, y):
     """Evaluate P = 1/(1 + exp(a*y + b)), clamped to [1e-12, 1 - 1e-12]."""
-    p = expit(-(cal.a * np.asarray(y, dtype=float) + cal.b))
+    p = _sigmoid(-(cal.a * np.asarray(y, dtype=float) + cal.b))
     p = np.clip(p, 1e-12, 1.0 - 1e-12)
     return float(p) if p.ndim == 0 else p

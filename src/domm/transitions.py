@@ -8,8 +8,9 @@ difference:
 
     P(j | i, d) ~ P(d | i, j) * P(j | i) / P(d | i)
 
-The denominator is either its own fitted density (default) or the exact
-marginalization over j; either way the output row is renormalized.
+The denominator P(d | i) does not depend on j, so renormalizing each row
+cancels it exactly; it is never evaluated. The per-row marginal densities
+are still fit, as the fallback for sparse (previous, current) cells.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from domm.core import AolSequence, DataError, RolSequence
+from domm.core import AolSequence, DataError, RolSequence, checked_from_dict
 
 __all__ = [
     "KdeModel",
@@ -31,8 +32,8 @@ __all__ = [
     "transition_matrices",
 ]
 
-DENOMINATOR_MODES = ("separate-kde", "marginalized")
 BANDWIDTH_FLOOR = 1e-3
+DENSITY_FLOOR = 1e-9
 SQRT_2PI = np.sqrt(2.0 * np.pi)
 
 
@@ -42,28 +43,21 @@ class KdeModel:
 
     samples: np.ndarray
     bandwidth: float
-    density_floor: float = 1e-9
 
     def __post_init__(self):
-        if self.samples.size < 1:
-            raise DataError("KDE needs at least one sample")
-        if not self.bandwidth > 0 or not self.density_floor > 0:
-            raise DataError("KDE bandwidth and density floor must be positive")
+        if self.samples.ndim != 1 or self.samples.size < 1:
+            raise DataError("KDE needs a flat list of at least one sample")
+        if not np.all(np.isfinite(self.samples)):
+            raise DataError("KDE samples contain non-finite values")
+        if not self.bandwidth > 0:
+            raise DataError("KDE bandwidth must be positive")
 
     def to_dict(self) -> dict:
-        return {
-            "samples": self.samples.tolist(),
-            "bandwidth": float(self.bandwidth),
-            "density_floor": float(self.density_floor),
-        }
+        return {"samples": self.samples.tolist(), "bandwidth": float(self.bandwidth)}
 
-    @classmethod
+    @checked_from_dict
     def from_dict(cls, d: dict) -> "KdeModel":
-        return cls(
-            samples=np.asarray(d["samples"], dtype=float),
-            bandwidth=float(d["bandwidth"]),
-            density_floor=float(d["density_floor"]),
-        )
+        return cls(samples=np.asarray(d["samples"], dtype=float), bandwidth=float(d["bandwidth"]))
 
 
 def silverman_bandwidth(samples: np.ndarray) -> float:
@@ -80,28 +74,19 @@ def silverman_bandwidth(samples: np.ndarray) -> float:
 def fit_kde(samples, bandwidth="silverman") -> KdeModel:
     """Fit a Gaussian KDE; ``bandwidth`` is "silverman" or an explicit positive value."""
     s = np.asarray(samples, dtype=float)
-    if s.size == 0:
-        raise DataError("cannot fit a KDE on zero samples")
-    if not np.all(np.isfinite(s)):
-        raise DataError("KDE samples contain non-finite values")
-    if bandwidth == "silverman":
-        h = silverman_bandwidth(s)
-    else:
-        h = float(bandwidth)
-        if not h > 0:
-            raise DataError("explicit bandwidth must be positive")
+    h = silverman_bandwidth(s) if bandwidth == "silverman" else float(bandwidth)
     return KdeModel(samples=s, bandwidth=h)
 
 
 def kde_density(model: KdeModel, delta):
-    """Density (1/(n h)) * sum_k phi((delta - s_k)/h), floored at density_floor.
+    """Density (1/(n h)) * sum_k phi((delta - s_k)/h), floored at DENSITY_FLOOR.
 
     Accepts a scalar or an array of query points.
     """
     d = np.asarray(delta, dtype=float)
     u = (d[..., None] - model.samples) / model.bandwidth
     dens = np.exp(-0.5 * u * u).sum(axis=-1) / (model.samples.size * model.bandwidth * SQRT_2PI)
-    out = np.maximum(dens, model.density_floor)
+    out = np.maximum(dens, DENSITY_FLOOR)
     return float(out) if out.ndim == 0 else out
 
 
@@ -113,13 +98,15 @@ class TransitionModel:
     conditional_kdes: tuple
     marginal_kdes: tuple
     counts: np.ndarray
-    denominator_mode: str = "separate-kde"
     # which rank representation the densities were fit on; queries must match
     use_normalized_ranks: bool = True
 
     def __post_init__(self):
-        if self.denominator_mode not in DENOMINATOR_MODES:
-            raise DataError(f"unknown denominator_mode {self.denominator_mode!r}")
+        shapes = ([len(row) for row in self.conditional_kdes], len(self.marginal_kdes), self.counts.shape)
+        if shapes != ([3, 3, 3], 3, (3, 3)):
+            raise DataError("transition model needs 3x3 conditional KDEs, 3 marginals, 3x3 counts")
+        if not isinstance(self.use_normalized_ranks, bool):
+            raise DataError("use_normalized_ranks must be true or false")
         if self.prior.shape != (3, 3) or np.any(self.prior <= 0):
             raise DataError("prior must be a strictly positive 3x3 matrix")
         if np.max(np.abs(self.prior.sum(axis=1) - 1.0)) > 1e-12:
@@ -133,11 +120,10 @@ class TransitionModel:
             ],
             "marginal_kdes": [kde.to_dict() for kde in self.marginal_kdes],
             "counts": self.counts.tolist(),
-            "denominator_mode": self.denominator_mode,
             "use_normalized_ranks": self.use_normalized_ranks,
         }
 
-    @classmethod
+    @checked_from_dict
     def from_dict(cls, d: dict) -> "TransitionModel":
         return cls(
             prior=np.asarray(d["prior"], dtype=float),
@@ -146,15 +132,13 @@ class TransitionModel:
             ),
             marginal_kdes=tuple(KdeModel.from_dict(k) for k in d["marginal_kdes"]),
             counts=np.asarray(d["counts"], dtype=int),
-            denominator_mode=str(d["denominator_mode"]),
-            use_normalized_ranks=bool(d["use_normalized_ranks"]),
+            use_normalized_ranks=d["use_normalized_ranks"],
         )
 
 
 def fit_transition_model(
     aols: list[AolSequence],
     rols: list[RolSequence],
-    denominator_mode: str = "separate-kde",
     bandwidth="silverman",
     min_cell_samples: int = 10,
     use_normalized_ranks: bool = True,
@@ -211,31 +195,24 @@ def fit_transition_model(
         conditional_kdes=tuple(conditional_kdes),
         marginal_kdes=tuple(marginal_kdes),
         counts=counts,
-        denominator_mode=denominator_mode,
         use_normalized_ranks=use_normalized_ranks,
     )
 
 
-def transition_matrices(model: TransitionModel, deltas, renormalize: bool = True) -> np.ndarray:
+def transition_matrices(model: TransitionModel, deltas) -> np.ndarray:
     """Transition distributions for a batch of rank differences.
 
     Returns an array of shape (len(deltas), 3, 3) whose [t, i, :] row is the
     Bayes-fused distribution over current states given previous state i and
-    rank difference deltas[t]. With ``renormalize=False`` the raw Bayes
-    quotients are returned (useful for checking exact marginalization).
+    rank difference deltas[t]: prior times conditional density, each row scaled
+    to sum to one.
     """
     d = np.asarray(deltas, dtype=float)
     q = np.empty((d.size, 3, 3))
     for i in range(3):
         for j in range(3):
             q[:, i, j] = kde_density(model.conditional_kdes[i][j], d) * model.prior[i, j]
-        if model.denominator_mode == "separate-kde":
-            q[:, i, :] /= kde_density(model.marginal_kdes[i], d)[:, None]
-        else:
-            q[:, i, :] /= q[:, i, :].sum(axis=1, keepdims=True)
-    if renormalize:
-        q /= q.sum(axis=2, keepdims=True)
-    return q
+    return q / q.sum(axis=2, keepdims=True)
 
 
 def transition_distribution(model: TransitionModel, prev: int, delta: float) -> np.ndarray:

@@ -190,17 +190,15 @@ def test_criterion_4_bayes_reduction():
     ok = True
     base = fitted_transition_model(seed=11)
     shared = fit_kde(np.linspace(-0.8, 0.8, 25))
-    for mode in ("separate-kde", "marginalized"):
-        flat = replace(
-            base,
-            conditional_kdes=tuple(tuple(shared for _ in range(3)) for _ in range(3)),
-            marginal_kdes=(shared, shared, shared),
-            denominator_mode=mode,
-        )
-        for prev in range(3):
-            for delta in (-0.7, 0.0, 0.42):
-                out = transition_distribution(flat, prev, delta)
-                ok &= bool(np.max(np.abs(out - base.prior[prev])) <= 1e-9)
+    flat = replace(
+        base,
+        conditional_kdes=tuple(tuple(shared for _ in range(3)) for _ in range(3)),
+        marginal_kdes=(shared, shared, shared),
+    )
+    for prev in range(3):
+        for delta in (-0.7, 0.0, 0.42):
+            out = transition_distribution(flat, prev, delta)
+            ok &= bool(np.max(np.abs(out - base.prior[prev])) <= 1e-9)
     report(4, "identical conditionals reduce the fused transition to the prior", ok)
 
 

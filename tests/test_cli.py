@@ -1,11 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from domm.bundle import load_model_bundle
+from domm.bundle import FORMAT_VERSION, load_model_bundle
 from domm.cli import main
 from domm.core import load_manifest, parse_features, read_aol_csv
 from domm.omsvm import state_posteriors
@@ -127,12 +130,57 @@ class TestTrain:
             "train", "--manifest", corpus_dir / "manifest.json", "--labels", labels, "--out", out,
         )
         raw = json.loads((out / "model.json").read_text())
-        raw["format_version"] = 2
+        raw["format_version"] = FORMAT_VERSION + 1
         (out / "model.json").write_text(json.dumps(raw))
         from domm.core import DataError
 
         with pytest.raises(DataError, match="format_version"):
             load_model_bundle(out / "model.json")
+
+    def test_mistyped_bundle_keys_raise_data_error(self, corpus_dir, tmp_path):
+        from domm.core import DataError
+
+        labels = convert(corpus_dir, tmp_path / "labels")
+        out = tmp_path / "train"
+        run_cli(
+            "train", "--manifest", corpus_dir / "manifest.json", "--labels", labels, "--out", out,
+        )
+        original = (out / "model.json").read_text()
+        for mutate, part in (
+            (lambda raw: raw["transitions"].update(use_normalized_ranks="false"), "use_normalized_ranks"),
+            (lambda raw: raw["omsvm"]["stages"][0]["platt"].update(a="x"), "PlattCalibration"),
+            (lambda raw: raw["ranksvm"].update(mean=[0.0]), "LinearModel"),
+            (lambda raw: raw["transitions"]["marginal_kdes"].pop(), "transition model"),
+            (lambda raw: raw.pop("class_counts"), "class_counts"),
+        ):
+            raw = json.loads(original)
+            mutate(raw)
+            (out / "model.json").write_text(json.dumps(raw))
+            with pytest.raises(DataError, match=part):
+                load_model_bundle(out / "model.json")
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"bandwidth": "wide"},
+            {"svm_c": "x"},
+            # a config written before denominator_mode was removed
+            {"denominator_mode": "marginalized"},
+        ],
+        ids=["bandwidth", "svm_c", "denominator_mode"],
+    )
+    def test_bad_config_exits_2(self, corpus_dir, tmp_path, config):
+        labels = convert(corpus_dir, tmp_path / "labels")
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        result = run_cli(
+            "train", "--manifest", corpus_dir / "manifest.json", "--labels", labels,
+            "--out", tmp_path / "train", "--config", cfg_path,
+        )
+        assert result.exit_code == 2, result.output
+        [key] = config
+        assert result.output.startswith("error:") and key in result.output
+        assert not (tmp_path / "train" / "model.json").exists()
 
     def test_no_leakage_from_test_split(self, tmp_path):
         cfg = SynthConfig(
@@ -232,6 +280,21 @@ class TestDecode:
         )
         assert result.exit_code == 2
         assert "ground-truth" in result.output
+
+    @pytest.mark.parametrize(
+        "bundle",
+        [{"format_version": FORMAT_VERSION}, {"format_version": 1}],
+        ids=["keys-missing", "stale-version"],
+    )
+    def test_malformed_bundle_exits_2(self, corpus_dir, tmp_path, bundle):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(bundle))
+        result = run_cli(
+            "decode", "--bundle", path, "--manifest", corpus_dir / "manifest.json",
+            "--out", tmp_path / "pred",
+        )
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith("error:")
 
     def test_empty_split_exits_2(self, corpus_dir, tmp_path):
         labels = convert(corpus_dir, tmp_path / "labels")
@@ -379,3 +442,16 @@ class TestSweepAndSynth:
         assert len(manifest.utterances) == 4
         assert (out / "latent.csv").exists()
         assert (out / "run.json").exists()
+
+
+def test_cli_import_loads_no_scipy():
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = "import sys, domm.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"

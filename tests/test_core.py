@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from scipy.stats import rankdata
 
 from domm.core import (
     AnnotationSet,
     AolSequence,
     DataError,
     RolSequence,
+    average_ranks,
     canonical_json,
     format_float,
     load_manifest,
@@ -92,6 +94,22 @@ def test_rol_sequence_from_ranks():
     np.testing.assert_allclose(rol.normalized, [0.0, 1.0, 0.5])
     singleton = RolSequence.from_ranks("u", [1.0])
     np.testing.assert_allclose(singleton.normalized, [0.5])
+
+
+@pytest.mark.parametrize("n", [1, 2, 17, 615, 3000])
+def test_average_ranks_equal_scipy_rankdata_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    for values in (
+        rng.integers(0, 5, n),  # heavy ties
+        rng.integers(-n, n + 1, n),  # Copeland-score-like integers
+        np.round(rng.normal(size=n), 1),  # tied floats
+        rng.normal(size=n),  # almost surely tie-free
+        np.zeros(n),  # one block of ties
+    ):
+        ours = average_ranks(values)
+        expected = rankdata(values, method="average")
+        assert ours.dtype == expected.dtype
+        assert ours.tobytes() == expected.tobytes()
 
 
 def test_rol_sequence_rejects_non_ranking():

@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from domm.core import DataError
 from domm.svm import (
@@ -14,6 +17,7 @@ from domm.svm import (
     platt_probability,
     train_binary,
 )
+from domm.svm import _sigmoid
 
 
 def finite_difference_gradient(params, inputs, targets, c, fit_bias, h=1e-6):
@@ -124,6 +128,15 @@ def test_decision_value_is_affine_in_standardized_space():
         mixed = decision_value(model, alpha * x1 + (1 - alpha) * x2)
         combo = alpha * decision_value(model, x1) + (1 - alpha) * decision_value(model, x2)
         assert abs(mixed - combo) < 1e-9
+
+
+def test_sigmoid_within_4_ulp_of_expit_without_warnings():
+    x = np.concatenate([np.linspace(-800.0, 800.0, 400_001), [-745.2, -709.8, 0.0, 709.8, 745.2]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ours = _sigmoid(x)
+    expected = expit(x)
+    assert np.all(np.abs(ours - expected) <= 4 * np.spacing(expected))
 
 
 def test_platt_probability_values():

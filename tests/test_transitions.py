@@ -4,6 +4,7 @@ from dataclasses import replace
 
 from domm.core import AolSequence, DataError, RolSequence
 from domm.transitions import (
+    DENSITY_FLOOR,
     fit_kde,
     fit_transition_model,
     kde_density,
@@ -58,7 +59,7 @@ class TestKde:
 
     def test_far_query_hits_floor(self):
         model = fit_kde([0.0, 0.1], bandwidth=0.01)
-        assert kde_density(model, 50.0) == model.density_floor
+        assert kde_density(model, 50.0) == DENSITY_FLOOR
 
     def test_hand_evaluated_sum_of_gaussians(self):
         samples = np.array([-0.3, 0.1, 0.4])
@@ -98,12 +99,17 @@ class TestFitTransitionModel:
         assert np.all(model.prior > 0)
 
     def test_sparse_cells_fall_back_to_marginal(self):
-        model = make_model([([L] * 30 + [M] * 2, np.arange(32.0))], min_cell_samples=10)
+        values = np.arange(32.0)
+        model = make_model([([L] * 30 + [M] * 2, values)], min_cell_samples=10)
         # L->M happened once; its KDE must be the L-row marginal
         assert model.conditional_kdes[L][M] is model.marginal_kdes[L]
-        # H never appears as predecessor; its marginal is the pooled fallback
-        assert model.marginal_kdes[H] is model.marginal_kdes[H]
-        assert kde_integral(model.marginal_kdes[H]) == pytest.approx(1.0, abs=1e-3)
+        # H never appears as predecessor; its marginal is the pooled fallback,
+        # fit on every consecutive-frame delta of the corpus
+        pooled = model.marginal_kdes[H]
+        np.testing.assert_array_equal(np.sort(pooled.samples), np.sort(np.diff(values / 31.0)))
+        assert pooled is not model.marginal_kdes[L] and pooled is not model.marginal_kdes[M]
+        assert all(kde is pooled for kde in model.conditional_kdes[H])
+        assert kde_integral(pooled) == pytest.approx(1.0, abs=1e-3)
 
     def test_no_pairs_errors(self):
         with pytest.raises(DataError, match="consecutive"):
@@ -149,24 +155,29 @@ class TestTransitionDistribution:
     def test_uninformative_likelihood_reduces_to_prior(self):
         model = self._any_model()
         shared = fit_kde(np.linspace(-0.5, 0.5, 30))
-        for mode in ("separate-kde", "marginalized"):
-            flat = replace(
-                model,
-                conditional_kdes=tuple(
-                    tuple(shared for _ in range(3)) for _ in range(3)
-                ),
-                marginal_kdes=(shared, shared, shared),
-                denominator_mode=mode,
-            )
-            for prev in range(3):
-                out = transition_distribution(flat, prev, 0.123)
-                np.testing.assert_allclose(out, model.prior[prev], atol=1e-9)
+        flat = replace(
+            model,
+            conditional_kdes=tuple(tuple(shared for _ in range(3)) for _ in range(3)),
+            marginal_kdes=(shared, shared, shared),
+        )
+        for prev in range(3):
+            out = transition_distribution(flat, prev, 0.123)
+            np.testing.assert_allclose(out, model.prior[prev], atol=1e-9)
 
-    def test_marginalized_mode_sums_to_one_before_renormalization(self):
-        model = self._any_model(denominator_mode="marginalized")
-        rng = np.random.default_rng(17)
-        raw = transition_matrices(model, rng.uniform(-1, 1, 40), renormalize=False)
-        np.testing.assert_allclose(raw.sum(axis=2), 1.0, atol=1e-12)
+    def test_matches_bayes_quotient_with_row_marginal(self):
+        # the full rule P(d|i,j) P(j|i) / P(d|i), renormalized: dividing by the
+        # row marginal scales a whole row, so dropping it changes nothing
+        model = self._any_model()
+        deltas = np.random.default_rng(17).uniform(-1, 1, 40)
+        expected = np.empty((deltas.size, 3, 3))
+        for i in range(3):
+            marginal = kde_density(model.marginal_kdes[i], deltas)
+            for j in range(3):
+                expected[:, i, j] = (
+                    kde_density(model.conditional_kdes[i][j], deltas) * model.prior[i, j] / marginal
+                )
+        expected /= expected.sum(axis=2, keepdims=True)
+        np.testing.assert_allclose(transition_matrices(model, deltas), expected, rtol=0, atol=1e-12)
 
     def test_large_negative_delta_boosts_downward_transition(self):
         # construct sequences where high-to-low transitions coincide with large
@@ -198,4 +209,4 @@ class TestTransitionDistribution:
         np.testing.assert_array_equal(
             back.conditional_kdes[0][1].samples, model.conditional_kdes[0][1].samples
         )
-        assert back.denominator_mode == model.denominator_mode
+        assert back.to_dict() == model.to_dict()
