@@ -9,15 +9,14 @@ fails to load with DataError.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from domm.core import DataError, canonical_json, checked_from_dict
+from domm.core import DataError, canonical_json, checked_from_dict, read_json
 from domm.omsvm import OmsvmModel
-from domm.ranksvm import RankModel
+from domm.svm import LinearModel
 from domm.transitions import TransitionModel
 
 __all__ = ["FORMAT_VERSION", "ModelBundle", "load_model_bundle", "save_model_bundle"]
@@ -28,7 +27,7 @@ FORMAT_VERSION = 2
 @dataclass(frozen=True)
 class ModelBundle:
     omsvm: OmsvmModel
-    ranker: RankModel | None
+    ranker: LinearModel | None
     transitions: TransitionModel | None
     class_counts: np.ndarray
     config_hash: str
@@ -57,7 +56,7 @@ class ModelBundle:
             )
         return cls(
             omsvm=OmsvmModel.from_dict(d["omsvm"]),
-            ranker=RankModel.from_dict(d["ranksvm"]) if d["ranksvm"] is not None else None,
+            ranker=LinearModel.from_dict(d["ranksvm"]) if d["ranksvm"] is not None else None,
             transitions=(
                 TransitionModel.from_dict(d["transitions"])
                 if d["transitions"] is not None
@@ -74,10 +73,7 @@ def save_model_bundle(bundle: ModelBundle, path) -> None:
 
 
 def load_model_bundle(path) -> ModelBundle:
-    try:
-        raw = json.loads(Path(path).read_text(encoding="ascii"))
-    except (OSError, ValueError) as exc:
-        raise DataError(f"cannot load model bundle {path}: {exc}") from exc
+    raw = read_json(path, "model bundle")
     if not isinstance(raw, dict):
         raise DataError(f"{path}: bundle must be a JSON object")
     return ModelBundle.from_dict(raw)

@@ -11,7 +11,7 @@ Exit codes: 0 success, 1 internal error, 2 user/input error.
 from __future__ import annotations
 
 import functools
-import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -26,8 +26,10 @@ from domm.core import (
     load_manifest,
     parse_annotations,
     read_aol_csv,
+    read_json,
     read_rol_csv,
     write_aol_csv,
+    write_csv,
     write_json,
     write_rol_csv,
 )
@@ -39,14 +41,16 @@ from domm.experiment import (
     fit_bundle,
     load_labels_dir,
     make_report,
-    report_csv_lines,
     run_xval,
+    write_report,
 )
-from domm.labels import ThresholdConfig, sweep_thresholds, write_sweep_csv
+from domm.labels import ThresholdConfig, sweep_thresholds
 from domm.metrics import DegenerateMarginalsError
 from domm.synth import SynthConfig, generate_corpus, write_corpus
 
 __all__ = ["main"]
+
+MAX_SWEEP_STEPS = 10_000
 
 
 def _fail_on_data_errors(fn):
@@ -61,20 +65,10 @@ def _fail_on_data_errors(fn):
     return wrapper
 
 
-def _load_config(config_path, seed, variant) -> ExperimentConfig:
-    if config_path is not None:
-        try:
-            raw = json.loads(Path(config_path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise DataError(f"cannot load config {config_path}: {exc}") from exc
-        config = ExperimentConfig.from_dict(raw)
-    else:
-        config = ExperimentConfig()
-    if seed is not None:
-        config = replace(config, seed=seed)
-    if variant is not None:
-        config = replace(config, variant=variant)
-    return config
+def _load_config(cls, config_path, **overrides):
+    """``cls`` from a JSON config file (or defaults), with every non-None override applied."""
+    config = cls() if config_path is None else cls.from_dict(read_json(config_path, "config"))
+    return replace(config, **{key: value for key, value in overrides.items() if value is not None})
 
 
 def _write_run_record(out_dir: Path, command: str, config, inputs: dict) -> None:
@@ -135,14 +129,17 @@ def convert(manifest_path, out_dir, split, eps_tie):
 @_fail_on_data_errors
 def sweep(manifest_path, out_dir, theta2_min, theta2_max, theta2_step, theta_sum, boundary_mode, split):
     """Tabulate label balance and agreement over a threshold grid."""
+    if not 0 < theta2_step < math.inf:
+        raise DataError(f"--theta2-step must be positive and finite, got {theta2_step}")
+    span = (theta2_max - theta2_min) / theta2_step + 1e-9
+    if not 0 <= span < MAX_SWEEP_STEPS:
+        raise DataError(f"the theta2 grid must have 1 to {MAX_SWEEP_STEPS} steps")
+    n_steps = int(np.floor(span)) + 1
     manifest = load_manifest(manifest_path)
-    entries = manifest.split_entries(split)
-    if not entries:
-        raise DataError(f"manifest has no utterances in split {split!r}")
     annotations = [
-        parse_annotations(e.annotations_path, manifest.value_range) for e in entries
+        parse_annotations(e.annotations_path, manifest.value_range)
+        for e in manifest.split_entries(split)
     ]
-    n_steps = int(np.floor((theta2_max - theta2_min) / theta2_step + 1e-9)) + 1
     grid = [
         ThresholdConfig(theta_sum - t2, t2, boundary_mode)
         for t2 in (theta2_min + k * theta2_step for k in range(n_steps))
@@ -151,7 +148,11 @@ def sweep(manifest_path, out_dir, theta2_min, theta2_max, theta2_step, theta_sum
     rows = sweep_thresholds(annotations, grid, (pre.delay_s, pre.window_s, pre.overlap))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_sweep_csv(rows, out / "sweep.csv")
+    write_csv(
+        out / "sweep.csv",
+        ["theta2", "gamma_mean", "agreement"],
+        [(r.theta2, r.gamma_mean, r.agreement) for r in rows],
+    )
     _write_run_record(
         out,
         "sweep",
@@ -179,22 +180,9 @@ def sweep(manifest_path, out_dir, theta2_min, theta2_max, theta2_step, theta_sum
 @_fail_on_data_errors
 def synth(out_dir, config_path, seed, utterances, frames, theta):
     """Generate a seeded synthetic corpus with latent ground truth."""
-    raw = {}
-    if config_path is not None:
-        try:
-            raw = json.loads(Path(config_path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise DataError(f"cannot load config {config_path}: {exc}") from exc
-    if seed is not None:
-        raw["seed"] = seed
-    if utterances is not None:
-        raw["n_utterances"] = utterances
-    if frames is not None:
-        raw["frames_per_utterance"] = frames
-    try:
-        cfg = SynthConfig.from_dict(raw)
-    except TypeError as exc:
-        raise DataError(f"bad synth config: {exc}") from exc
+    cfg = _load_config(
+        SynthConfig, config_path, seed=seed, n_utterances=utterances, frames_per_utterance=frames
+    )
     corpus = generate_corpus(cfg)
     manifest_path = write_corpus(corpus, out_dir, thresholds=(-theta, theta))
     _write_run_record(Path(out_dir), "synth", None, {"synth_config": cfg.to_dict(), "theta": theta})
@@ -213,10 +201,8 @@ def synth(out_dir, config_path, seed, utterances, frames, theta):
 def train(manifest_path, labels_dir, out_dir, config_path, seed, variant, split):
     """Train a model bundle on one split's converted labels."""
     manifest = load_manifest(manifest_path)
-    config = _load_config(config_path, seed, variant)
+    config = _load_config(ExperimentConfig, config_path, seed=seed, variant=variant)
     entries = manifest.split_entries(split)
-    if not entries:
-        raise DataError(f"manifest has no utterances in split {split!r}")
     labels = load_labels_dir(labels_dir, entries)
     bundle = fit_bundle(entries, labels, config)
     out = Path(out_dir)
@@ -243,11 +229,9 @@ def train(manifest_path, labels_dir, out_dir, config_path, seed, variant, split)
 def decode(bundle_path, manifest_path, out_dir, labels_dir, config_path, seed, split):
     """Decode a split into predicted label (and rank) files."""
     manifest = load_manifest(manifest_path)
-    config = _load_config(config_path, seed, None)
+    config = _load_config(ExperimentConfig, config_path, seed=seed)
     bundle = load_model_bundle(bundle_path)
     entries = manifest.split_entries(split)
-    if not entries:
-        raise DataError(f"manifest has no utterances in split {split!r}")
     truth = load_labels_dir(labels_dir, entries) if labels_dir is not None else None
     pred_aols, pred_rols = decode_entries(bundle, entries, config, truth)
     out = Path(out_dir)
@@ -282,10 +266,8 @@ def decode(bundle_path, manifest_path, out_dir, labels_dir, config_path, seed, s
 def eval_cmd(manifest_path, pred_dir, labels_dir, out_dir, split, seed, config_path):
     """Score predictions against converted ground truth."""
     manifest = load_manifest(manifest_path)
-    config = _load_config(config_path, seed, None)
+    config = _load_config(ExperimentConfig, config_path, seed=seed)
     entries = manifest.split_entries(split)
-    if not entries:
-        raise DataError(f"manifest has no utterances in split {split!r}")
     truth = load_labels_dir(labels_dir, entries)
     pred_dir = Path(pred_dir)
     pred_aols, pred_rols = {}, {}
@@ -302,8 +284,7 @@ def eval_cmd(manifest_path, pred_dir, labels_dir, out_dir, split, seed, config_p
     report = make_report([fold], config)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_json(out / "report.json", report)
-    (out / "report.csv").write_text("\n".join(report_csv_lines(report)) + "\n", encoding="ascii")
+    write_report(report, out)
     _write_run_record(
         out,
         "eval",
@@ -331,12 +312,11 @@ def eval_cmd(manifest_path, pred_dir, labels_dir, out_dir, split, seed, config_p
 def xval(manifest_path, out_dir, config_path, seed, variant):
     """Cross-validate over the manifest's fold tags."""
     manifest = load_manifest(manifest_path)
-    config = _load_config(config_path, seed, variant)
+    config = _load_config(ExperimentConfig, config_path, seed=seed, variant=variant)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     report = run_xval(manifest, config, out)
-    write_json(out / "report.json", report)
-    (out / "report.csv").write_text("\n".join(report_csv_lines(report)) + "\n", encoding="ascii")
+    write_report(report, out)
     _write_run_record(out, "xval", config, {"manifest": str(manifest_path)})
     agg = report["aggregate"]
     summary = ", ".join(

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass
+import math
+import numbers
+from dataclasses import asdict, dataclass, fields
 from enum import IntEnum
 from pathlib import Path
 
@@ -20,6 +22,7 @@ __all__ = [
     "AnnotationSet",
     "AolSequence",
     "AolState",
+    "Config",
     "DataError",
     "DatasetManifest",
     "ManifestEntry",
@@ -30,12 +33,15 @@ __all__ = [
     "canonical_json",
     "checked_from_dict",
     "format_float",
+    "is_positive",
     "load_manifest",
     "parse_annotations",
     "parse_features",
     "read_aol_csv",
+    "read_json",
     "read_rol_csv",
     "write_aol_csv",
+    "write_csv",
     "write_json",
     "write_rol_csv",
 ]
@@ -56,6 +62,36 @@ def checked_from_dict(from_dict):
             raise DataError(f"malformed {cls.__name__}: {type(exc).__name__}: {exc}") from exc
 
     return classmethod(wrapper)
+
+
+def is_positive(x, integral: bool = False, or_zero: bool = False) -> bool:
+    """A finite number (an integer if ``integral``, never a bool) above 0, or at least 0."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral if integral else numbers.Real):
+        return False
+    return (isinstance(x, numbers.Integral) or math.isfinite(x)) and (x >= 0 if or_zero else x > 0)
+
+
+class Config:
+    """Base of the frozen config dataclasses: field checks and a JSON-object round trip."""
+
+    def _check(self, *checks) -> None:
+        """Raise DataError for the first ``(key, ok, expected)`` whose ``ok`` is false."""
+        for key, ok, expected in checks:
+            if not ok:
+                raise DataError(f"config {key} must be {expected}, got {getattr(self, key)!r}")
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, d):
+        """Build from a JSON object; a non-object or an unknown key raises DataError."""
+        if not isinstance(d, dict):
+            raise DataError(f"{cls.__name__} must be a JSON object")
+        unknown = set(d) - {f.name for f in fields(cls)}
+        if unknown:
+            raise DataError(f"unknown {cls.__name__} keys {sorted(unknown)}")
+        return cls(**d)
 
 
 class AolState(IntEnum):
@@ -217,9 +253,11 @@ class DatasetManifest:
     utterances: tuple[ManifestEntry, ...]
 
     def split_entries(self, split: str) -> list[ManifestEntry]:
-        if split == "all":
-            return list(self.utterances)
-        return [u for u in self.utterances if u.split == split]
+        """The split's utterances (every one for ``"all"``); an empty split raises DataError."""
+        entries = [u for u in self.utterances if split == "all" or u.split == split]
+        if not entries:
+            raise DataError(f"manifest has no utterances in split {split!r}")
+        return entries
 
     def split_tags(self) -> list[str]:
         seen: dict[str, None] = {}
@@ -236,7 +274,7 @@ class DatasetManifest:
 def format_float(x: float) -> str:
     """Format with 17 significant digits (lossless for float64), always float-typed."""
     x = float(x)
-    if not np.isfinite(x):
+    if not math.isfinite(x):
         raise DataError(f"non-finite value {x!r} cannot be serialized")
     s = "%.17g" % x
     if "." not in s and "e" not in s:
@@ -278,6 +316,34 @@ def write_json(path, obj) -> None:
     Path(path).write_text(canonical_json(obj) + "\n", encoding="ascii")
 
 
+def read_json(path, what: str):
+    """Parse a JSON file; an unreadable, non-UTF-8 or malformed file raises DataError."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise DataError(f"cannot load {what} {path}: {exc}") from exc
+
+
+def _csv_cell(value) -> str:
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return format_float(value)
+
+
+def write_csv(path, header, rows, **meta) -> None:
+    """Write ``#key=value`` lines (None values skipped), the header, then one line per row.
+
+    Strings are written as-is, integers as ``str(int)`` and floats with
+    ``format_float``. The file is ASCII and ends with a newline.
+    """
+    lines = [f"#{key}={_csv_cell(value)}" for key, value in meta.items() if value is not None]
+    lines.append(",".join(header))
+    lines.extend(",".join(_csv_cell(v) for v in row) for row in rows)
+    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+
+
 # ---------------------------------------------------------------------------
 # CSV parsing
 # ---------------------------------------------------------------------------
@@ -287,7 +353,7 @@ def _read_csv_lines(path) -> tuple[dict[str, str], list[str], list[list[str]]]:
     """Split a CSV file into (#key=value metadata, header cells, data rows)."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     meta: dict[str, str] = {}
     header: list[str] | None = None
@@ -364,9 +430,7 @@ def parse_annotations(path, value_range: tuple[float, float]) -> AnnotationSet:
 
 
 def write_aol_csv(seq: AolSequence, path) -> None:
-    lines = [f"#utterance_id={seq.utterance_id}", "aol"]
-    lines.extend(str(int(v)) for v in seq.labels)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    write_csv(path, ["aol"], ([int(v)] for v in seq.labels), utterance_id=seq.utterance_id)
 
 
 def read_aol_csv(path) -> AolSequence:
@@ -381,11 +445,8 @@ def read_aol_csv(path) -> AolSequence:
 
 
 def write_rol_csv(seq: RolSequence, path) -> None:
-    lines = [f"#utterance_id={seq.utterance_id}", "rank,normalized"]
-    lines.extend(
-        f"{format_float(r)},{format_float(n)}" for r, n in zip(seq.ranks, seq.normalized)
-    )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    rows = zip(seq.ranks.astype(float), seq.normalized.astype(float))
+    write_csv(path, ["rank", "normalized"], rows, utterance_id=seq.utterance_id)
 
 
 def read_rol_csv(path) -> RolSequence:
@@ -408,10 +469,7 @@ def load_manifest(path) -> DatasetManifest:
     that training never has to touch (or even see) held-out split files.
     """
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise DataError(f"cannot load manifest {path}: {exc}") from exc
+    raw = read_json(path, "manifest")
     try:
         base = path.parent
         entries = []
@@ -447,6 +505,6 @@ def load_manifest(path) -> DatasetManifest:
             thresholds=dict(raw["thresholds"]),
             utterances=tuple(entries),
         )
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise DataError(f"{path}: malformed manifest: {exc!r}") from exc
     return manifest

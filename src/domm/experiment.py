@@ -18,8 +18,6 @@ for byte and independent of fold execution order.
 from __future__ import annotations
 
 import hashlib
-import math
-import numbers
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -29,22 +27,26 @@ from domm import __version__
 from domm.bundle import ModelBundle, save_model_bundle
 from domm.core import (
     AolSequence,
+    Config,
     DataError,
     DatasetManifest,
     RolSequence,
     canonical_json,
     format_float,
+    is_positive,
     parse_annotations,
     parse_features,
     read_aol_csv,
     read_rol_csv,
+    write_csv,
+    write_json,
 )
 from domm.decoder import StateLattice, framewise_argmax, viterbi_decode
 from domm.labels import ThresholdConfig, convert_annotation_set
 from domm.metrics import DegenerateMarginalsError, kendall_tau, precision_at_k, uar, weighted_kappa
 from domm.omsvm import DIRECTIONS, state_posteriors, train_omsvm
-from domm.ranksvm import build_pairs, ranks_from_scores, score_frames, train_ranksvm
-from domm.svm import fit_standardization
+from domm.ranksvm import DEFAULT_PAIR_CAP, build_pairs, ranks_from_scores, train_ranksvm
+from domm.svm import decision_values, fit_standardization
 from domm.transitions import fit_transition_model
 
 __all__ = [
@@ -57,27 +59,20 @@ __all__ = [
     "fit_bundle",
     "fold_seed",
     "make_report",
-    "report_csv_lines",
     "run_xval",
+    "write_report",
 ]
 
 VARIANTS = ("omsvm-only", "domm-rs", "domm-gt")
 EVAL_KS = (10, 20, 30, 40, 50)
 
 
-def _positive(x, integral: bool = False, or_zero: bool = False) -> bool:
-    """A finite number (an integer if ``integral``, never a bool) above 0, or at least 0."""
-    if isinstance(x, bool) or not isinstance(x, numbers.Integral if integral else numbers.Real):
-        return False
-    return (isinstance(x, numbers.Integral) or math.isfinite(x)) and (x >= 0 if or_zero else x > 0)
-
-
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(Config):
     variant: str = "domm-rs"
     svm_c: float = 1e-4
     rank_c: float = 1e-4
-    pair_cap: int = 200_000
+    pair_cap: int = DEFAULT_PAIR_CAP
     direction: str = "forward"
     bandwidth: object = "silverman"
     min_cell_samples: int = 10
@@ -87,46 +82,20 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for key, ok, expected in (
+        self._check(
             ("variant", self.variant in VARIANTS, f"one of {VARIANTS}"),
-            ("svm_c", _positive(self.svm_c), "a positive number"),
-            ("rank_c", _positive(self.rank_c), "a positive number"),
-            ("pair_cap", _positive(self.pair_cap, integral=True), "a positive integer"),
+            ("svm_c", is_positive(self.svm_c), "a positive number"),
+            ("rank_c", is_positive(self.rank_c), "a positive number"),
+            ("pair_cap", is_positive(self.pair_cap, integral=True), "a positive integer"),
             ("direction", self.direction in DIRECTIONS, f"one of {DIRECTIONS}"),
-            ("bandwidth", self.bandwidth == "silverman" or _positive(self.bandwidth),
+            ("bandwidth", self.bandwidth == "silverman" or is_positive(self.bandwidth),
              '"silverman" or a positive number'),
-            ("min_cell_samples", _positive(self.min_cell_samples, integral=True), "a positive integer"),
+            ("min_cell_samples", is_positive(self.min_cell_samples, integral=True), "a positive integer"),
             ("divide_by_prior", isinstance(self.divide_by_prior, bool), "true or false"),
             ("use_normalized_ranks", isinstance(self.use_normalized_ranks, bool), "true or false"),
-            ("eps_tie", _positive(self.eps_tie, or_zero=True), "a number >= 0"),
-            ("seed", _positive(self.seed, integral=True, or_zero=True), "an integer >= 0"),
-        ):
-            if not ok:
-                raise DataError(f"config {key} must be {expected}, got {getattr(self, key)!r}")
-
-    def to_dict(self) -> dict:
-        return {
-            "variant": self.variant,
-            "svm_c": self.svm_c,
-            "rank_c": self.rank_c,
-            "pair_cap": self.pair_cap,
-            "direction": self.direction,
-            "bandwidth": self.bandwidth,
-            "min_cell_samples": self.min_cell_samples,
-            "divide_by_prior": self.divide_by_prior,
-            "use_normalized_ranks": self.use_normalized_ranks,
-            "eps_tie": self.eps_tie,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentConfig":
-        if not isinstance(d, dict):
-            raise DataError("experiment config must be a JSON object")
-        unknown = set(d) - set(cls().to_dict())
-        if unknown:
-            raise DataError(f"unknown experiment config keys {sorted(unknown)}")
-        return cls(**d)
+            ("eps_tie", is_positive(self.eps_tie, or_zero=True), "a number >= 0"),
+            ("seed", is_positive(self.seed, integral=True, or_zero=True), "an integer >= 0"),
+        )
 
     def config_hash(self) -> str:
         return hashlib.sha256(canonical_json(self.to_dict()).encode("ascii")).hexdigest()[:16]
@@ -147,9 +116,9 @@ def convert_labels(
     manifest: DatasetManifest, split: str = "all", eps_tie: float = 0.0
 ) -> dict[str, tuple[AolSequence, RolSequence]]:
     """Consensus labels and ranks for every utterance of the split."""
+    if not is_positive(eps_tie, or_zero=True):
+        raise DataError(f"eps_tie must be a number >= 0, got {eps_tie!r}")
     entries = manifest.split_entries(split)
-    if not entries:
-        raise DataError(f"manifest has no utterances in split {split!r}")
     thresholds = ThresholdConfig.from_mapping(manifest.thresholds)
     pre = manifest.preprocessing
     out = {}
@@ -268,7 +237,7 @@ def decode_entries(
         post = _adjusted_posteriors(bundle, features.frames, config.divide_by_prior)
         rol = None
         if bundle.ranker is not None:
-            rol = ranks_from_scores(score_frames(bundle.ranker, features.frames), uid)
+            rol = ranks_from_scores(decision_values(bundle.ranker, features.frames), uid)
             pred_rols[uid] = rol
         if bundle.transitions is None:
             pred_aols[uid] = framewise_argmax(post, uid)
@@ -371,34 +340,36 @@ def make_report(folds: list[dict], config: ExperimentConfig) -> dict:
     }
 
 
-def report_csv_lines(report: dict) -> list[str]:
-    """Flat per-fold table plus a mean/std footer, mirroring the report JSON."""
+def write_report(report: dict, out_dir) -> None:
+    """Write ``report.json`` and ``report.csv``, a per-fold table with a mean/std footer."""
+    out_dir = Path(out_dir)
+    write_json(out_dir / "report.json", report)
     header = ["fold", "n_utterances", "uar", "kappa", "tau_mean"]
     header += [f"p_at_{k}" for k in EVAL_KS]
-    lines = [",".join(header)]
 
     def fmt(value):
         return "" if value is None else format_float(value)
 
+    rows = []
     for fold in report["folds"]:
         if fold["skipped"]:
             reason = fold["reason"].replace(",", ";")
-            lines.append(f"{fold['fold']},skipped: {reason}" + "," * (len(header) - 2))
+            rows.append([fold["fold"], f"skipped: {reason}"] + [""] * (len(header) - 2))
             continue
-        cells = [fold["fold"], str(fold["n_utterances"])]
+        cells = [fold["fold"], fold["n_utterances"]]
         cells += [fmt(fold[key]) for key in ("uar", "kappa", "tau_mean")]
         p = fold.get("p_at_k") or {}
         cells += [fmt(p.get(str(k))) for k in EVAL_KS]
-        lines.append(",".join(cells))
+        rows.append(cells)
     agg = report["aggregate"]
     for stat in ("mean", "std"):
-        cells = [stat, str(agg["n_folds"])]
+        cells = [stat, agg["n_folds"]]
         for key in ("uar", "kappa", "tau_mean"):
             cells.append(fmt(agg[key][stat]) if agg.get(key) else "")
         p = agg.get("p_at_k") or {}
         cells += [fmt(p[str(k)][stat]) if str(k) in p else "" for k in EVAL_KS]
-        lines.append(",".join(cells))
-    return lines
+        rows.append(cells)
+    write_csv(out_dir / "report.csv", header, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ consensus rank sequence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -20,7 +19,7 @@ from domm.core import (
     DataError,
     RolSequence,
     average_ranks,
-    format_float,
+    checked_from_dict,
 )
 
 __all__ = [
@@ -40,7 +39,6 @@ __all__ = [
     "qa_consensus",
     "ranks_from_consensus",
     "sweep_thresholds",
-    "write_sweep_csv",
 ]
 
 # Pairwise comparison cell values. entry(i, j) describes window j relative to
@@ -71,7 +69,7 @@ class ThresholdConfig:
         if self.boundary_mode not in BOUNDARY_MODES:
             raise DataError(f"unknown boundary_mode {self.boundary_mode!r}")
 
-    @classmethod
+    @checked_from_dict
     def from_mapping(cls, m) -> "ThresholdConfig":
         return cls(
             theta1=float(m["theta1"]),
@@ -226,15 +224,6 @@ def sweep_thresholds(
             )
         )
     return rows
-
-
-def write_sweep_csv(rows: list[SweepRow], path) -> None:
-    lines = ["theta2,gamma_mean,agreement"]
-    lines.extend(
-        f"{format_float(r.theta2)},{format_float(r.gamma_mean)},{format_float(r.agreement)}"
-        for r in rows
-    )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
 # ---------------------------------------------------------------------------

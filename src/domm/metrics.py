@@ -85,12 +85,10 @@ def _rank_arrays(a, b) -> tuple[np.ndarray, np.ndarray]:
     return ra, rb
 
 
-def kendall_tau(ranks_a, ranks_b, variant: str = "tau-a") -> float:
-    """Kendall rank correlation (C - D) / T with T = n(n-1)/2.
+def kendall_tau(ranks_a, ranks_b) -> float:
+    """Kendall's tau-a, (C - D) / T with the fixed denominator T = n(n-1)/2.
 
-    Pairs tied in either sequence count toward neither C nor D. The default
-    tau-a keeps the fixed denominator n(n-1)/2; ``variant="tau-b"`` rescales
-    by the tie-corrected pair counts for tie-heavy data.
+    Pairs tied in either sequence count toward neither C nor D.
     """
     ra, rb = _rank_arrays(ranks_a, ranks_b)
     n = ra.size
@@ -102,17 +100,7 @@ def kendall_tau(ranks_a, ranks_b, variant: str = "tau-a") -> float:
     prod = sign_a[upper] * sign_b[upper]
     concordant = int(np.sum(prod > 0))
     discordant = int(np.sum(prod < 0))
-    total = n * (n - 1) / 2.0
-    if variant == "tau-a":
-        return (concordant - discordant) / total
-    if variant == "tau-b":
-        tied_a = int(np.sum(sign_a[upper] == 0))
-        tied_b = int(np.sum(sign_b[upper] == 0))
-        denom = np.sqrt((total - tied_a) * (total - tied_b))
-        if denom == 0:
-            raise DataError("tau-b undefined: one sequence is entirely tied")
-        return (concordant - discordant) / float(denom)
-    raise DataError(f"unknown Kendall variant {variant!r}")
+    return (concordant - discordant) / (n * (n - 1) / 2.0)
 
 
 def precision_at_k(truth, predicted, k: float) -> float:

@@ -31,7 +31,6 @@ from domm.svm import (
 
 __all__ = [
     "OmsvmModel",
-    "predict_aol",
     "predict_aols",
     "state_posteriors",
     "train_omsvm",
@@ -142,10 +141,6 @@ def predict_aols(model: OmsvmModel, features) -> np.ndarray:
     if model.direction == "forward":
         return np.where(s1 > 0, AolState.LOW, np.where(s2 > 0, AolState.MEDIUM, AolState.HIGH))
     return np.where(s1 > 0, AolState.HIGH, np.where(s2 > 0, AolState.MEDIUM, AolState.LOW))
-
-
-def predict_aol(model: OmsvmModel, x) -> AolState:
-    return AolState(int(predict_aols(model, np.atleast_2d(x))[0]))
 
 
 def state_posteriors(model: OmsvmModel, features) -> np.ndarray:

@@ -13,37 +13,19 @@ convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from domm.core import DataError, RolSequence, average_ranks
-from domm.svm import LinearModel, decision_values, fit_standardization, newton_squared_hinge
+from domm.svm import LinearModel, fit_standardization, newton_squared_hinge
 
 __all__ = [
     "DEFAULT_PAIR_CAP",
-    "RankModel",
     "build_pairs",
     "ranks_from_scores",
-    "score_frames",
     "train_ranksvm",
 ]
 
 DEFAULT_PAIR_CAP = 200_000
-
-
-@dataclass(frozen=True)
-class RankModel:
-    """Linear scorer whose projections order frames; bias-free by construction."""
-
-    base: LinearModel
-
-    def to_dict(self) -> dict:
-        return self.base.to_dict()
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RankModel":
-        return cls(base=LinearModel.from_dict(d))
 
 
 def build_pairs(rols: list[RolSequence], cap: int = DEFAULT_PAIR_CAP, seed: int = 0) -> np.ndarray:
@@ -75,8 +57,8 @@ def build_pairs(rols: list[RolSequence], cap: int = DEFAULT_PAIR_CAP, seed: int 
     return pairs
 
 
-def train_ranksvm(features, pairs: np.ndarray, c: float = 1e-4, *, standardization=None) -> RankModel:
-    """Fit the ranking hyperplane on preference-pair feature differences."""
+def train_ranksvm(features, pairs: np.ndarray, c: float = 1e-4, *, standardization=None) -> LinearModel:
+    """Fit the ranking hyperplane on preference-pair feature differences (bias fixed at 0)."""
     x = np.asarray(features, dtype=float)
     pairs = np.asarray(pairs, dtype=int)
     if pairs.size == 0:
@@ -91,12 +73,7 @@ def train_ranksvm(features, pairs: np.ndarray, c: float = 1e-4, *, standardizati
     scaled = (x - mean) / std
     diffs = scaled[pairs[:, 0]] - scaled[pairs[:, 1]]
     params, _ = newton_squared_hinge(diffs, np.ones(diffs.shape[0]), c, fit_bias=False)
-    return RankModel(base=LinearModel(weights=params, bias=0.0, mean=mean, std=std))
-
-
-def score_frames(model: RankModel, features) -> np.ndarray:
-    """Per-frame projection onto the ranking direction."""
-    return decision_values(model.base, features)
+    return LinearModel(weights=params, bias=0.0, mean=mean, std=std)
 
 
 def ranks_from_scores(scores, utterance_id: str = "") -> RolSequence:

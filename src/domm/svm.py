@@ -21,7 +21,6 @@ from domm.core import DataError, checked_from_dict
 __all__ = [
     "LinearModel",
     "PlattCalibration",
-    "decision_value",
     "decision_values",
     "fit_platt",
     "fit_standardization",
@@ -132,9 +131,10 @@ def newton_squared_hinge(inputs, targets, c, fit_bias=True):
     """Minimize the squared-hinge objective; returns (params, objective trace).
 
     The trace records the objective after each accepted step (first entry is
-    the value at the zero initialization) and is non-increasing: every Newton
-    step is guarded by a backtracking line search that halves the step until
-    the Armijo condition holds, giving up after 30 halvings.
+    the value at the zero initialization) and is strictly decreasing: every
+    Newton step is guarded by a backtracking line search that halves the step
+    until the Armijo condition holds, giving up after 30 halvings, and the
+    solve stops at the first step that does not lower the objective.
     """
     inputs = np.asarray(inputs, dtype=float)
     targets = np.asarray(targets, dtype=float)
@@ -167,7 +167,7 @@ def newton_squared_hinge(inputs, targets, c, fit_bias=True):
                 accepted = True
                 break
             step *= 0.5
-        if not accepted or new_obj > obj:
+        if not accepted or new_obj >= obj:
             break
         params, obj, grad = candidate, new_obj, new_grad
         trace.append(obj)
@@ -209,10 +209,6 @@ def decision_values(model: LinearModel, features) -> np.ndarray:
             f"feature dimension {x.shape[1]} does not match model dimension {model.weights.size}"
         )
     return ((x - model.mean) / model.std) @ model.weights + model.bias
-
-
-def decision_value(model: LinearModel, x) -> float:
-    return float(decision_values(model, x)[0])
 
 
 def fit_platt(scores, labels) -> PlattCalibration:

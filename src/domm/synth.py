@@ -17,9 +17,10 @@ import numpy as np
 
 from domm.core import (
     AnnotationSet,
+    Config,
     UtteranceFeatures,
-    DataError,
-    format_float,
+    is_positive,
+    write_csv,
     write_json,
 )
 
@@ -27,7 +28,7 @@ __all__ = ["SynthConfig", "SynthCorpus", "generate_corpus", "write_corpus"]
 
 
 @dataclass(frozen=True)
-class SynthConfig:
+class SynthConfig(Config):
     n_utterances: int = 18
     frames_per_utterance: int = 615
     feature_dim: int = 10
@@ -42,36 +43,19 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.n_utterances, self.frames_per_utterance, self.feature_dim, self.n_annotators) < 1:
-            raise DataError("counts and dimensions must be positive")
-        if not 0 <= self.latent_smoothness < 1:
-            raise DataError("latent_smoothness must lie in [0, 1)")
-        if min(self.annotator_noise_std, self.annotator_bias_std, self.feature_noise_std) < 0:
-            raise DataError("noise levels must be nonnegative")
-        if self.annotator_delay_frames < 0:
-            raise DataError("annotator_delay_frames must be nonnegative")
-        if not self.annotation_scale > 0 or not self.frame_period_s > 0:
-            raise DataError("annotation_scale and frame_period_s must be positive")
-
-    def to_dict(self) -> dict:
-        return {
-            "n_utterances": self.n_utterances,
-            "frames_per_utterance": self.frames_per_utterance,
-            "feature_dim": self.feature_dim,
-            "n_annotators": self.n_annotators,
-            "latent_smoothness": self.latent_smoothness,
-            "annotator_noise_std": self.annotator_noise_std,
-            "annotator_bias_std": self.annotator_bias_std,
-            "feature_noise_std": self.feature_noise_std,
-            "annotator_delay_frames": self.annotator_delay_frames,
-            "annotation_scale": self.annotation_scale,
-            "frame_period_s": self.frame_period_s,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SynthConfig":
-        return cls(**d)
+        counts = ("n_utterances", "frames_per_utterance", "feature_dim", "n_annotators")
+        noises = ("annotator_noise_std", "annotator_bias_std", "feature_noise_std")
+        self._check(
+            *((key, is_positive(getattr(self, key), integral=True), "a positive integer") for key in counts),
+            ("latent_smoothness", is_positive(self.latent_smoothness, or_zero=True)
+             and self.latent_smoothness < 1, "a number in [0, 1)"),
+            *((key, is_positive(getattr(self, key), or_zero=True), "a number >= 0") for key in noises),
+            ("annotator_delay_frames", is_positive(self.annotator_delay_frames, integral=True, or_zero=True),
+             "an integer >= 0"),
+            ("annotation_scale", is_positive(self.annotation_scale), "a positive number"),
+            ("frame_period_s", is_positive(self.frame_period_s), "a positive number"),
+            ("seed", is_positive(self.seed, integral=True, or_zero=True), "an integer >= 0"),
+        )
 
 
 @dataclass(frozen=True)
@@ -124,27 +108,6 @@ def generate_corpus(cfg: SynthConfig) -> SynthCorpus:
     return SynthCorpus(cfg, tuple(features), tuple(annotations), tuple(latents))
 
 
-def _write_feature_csv(uf: UtteranceFeatures, path: Path) -> None:
-    lines = [f"#utterance_id={uf.utterance_id}"]
-    if uf.frame_period_s is not None:
-        lines.append(f"#frame_period_s={format_float(uf.frame_period_s)}")
-    lines.append(",".join(f"f{i}" for i in range(uf.n_dims)))
-    for row in uf.frames:
-        lines.append(",".join(format_float(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="ascii")
-
-
-def _write_annotation_csv(ann: AnnotationSet, path: Path) -> None:
-    lines = [
-        f"#utterance_id={ann.utterance_id}",
-        f"#period_s={format_float(ann.period_s)}",
-        ",".join(f"r{i}" for i in range(ann.n_annotators)),
-    ]
-    for row in ann.values.T:
-        lines.append(",".join(format_float(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="ascii")
-
-
 def write_corpus(
     corpus: SynthCorpus,
     out_dir,
@@ -165,13 +128,23 @@ def write_corpus(
     cfg = corpus.config
     entries = []
     n_train = (cfg.n_utterances + 1) // 2
-    latent_lines = ["utterance_id,frame,value"]
+    latent_rows = []
     for idx, (uf, ann, z) in enumerate(zip(corpus.features, corpus.annotations, corpus.latents)):
-        _write_feature_csv(uf, out / "features" / f"{uf.utterance_id}.csv")
-        _write_annotation_csv(ann, out / "annotations" / f"{ann.utterance_id}.csv")
-        latent_lines.extend(
-            f"{uf.utterance_id},{t},{format_float(v)}" for t, v in enumerate(z)
+        write_csv(
+            out / "features" / f"{uf.utterance_id}.csv",
+            [f"f{i}" for i in range(uf.n_dims)],
+            uf.frames,
+            utterance_id=uf.utterance_id,
+            frame_period_s=uf.frame_period_s,
         )
+        write_csv(
+            out / "annotations" / f"{ann.utterance_id}.csv",
+            [f"r{i}" for i in range(ann.n_annotators)],
+            ann.values.T,
+            utterance_id=ann.utterance_id,
+            period_s=ann.period_s,
+        )
+        latent_rows.extend((uf.utterance_id, t, v) for t, v in enumerate(z))
         entries.append(
             {
                 "utterance_id": uf.utterance_id,
@@ -180,7 +153,7 @@ def write_corpus(
                 "split": "train" if idx < n_train else "test",
             }
         )
-    (out / "latent.csv").write_text("\n".join(latent_lines) + "\n", encoding="ascii")
+    write_csv(out / "latent.csv", ["utterance_id", "frame", "value"], latent_rows)
     manifest = {
         "dataset_name": "synthetic",
         "dimension_name": dimension_name,

@@ -43,6 +43,15 @@ def tree_bytes(root: Path) -> dict:
     }
 
 
+def relocatable_manifest(corpus_dir) -> dict:
+    """The corpus manifest with absolute file paths, to be written anywhere."""
+    manifest = json.loads((corpus_dir / "manifest.json").read_text())
+    for entry in manifest["utterances"]:
+        entry["features"] = str(corpus_dir / entry["features"])
+        entry["annotations"] = str(corpus_dir / entry["annotations"])
+    return manifest
+
+
 def convert(corpus_dir, out):
     result = run_cli("convert", "--manifest", corpus_dir / "manifest.json", "--out", out)
     assert result.exit_code == 0, result.output
@@ -71,6 +80,45 @@ class TestConvert:
         result = run_cli("convert", "--manifest", broken / "manifest.json", "--out", tmp_path / "o")
         assert result.exit_code == 2
         assert "gone.csv" in result.output
+
+    @pytest.mark.parametrize("eps", ["-0.5", "nan"])
+    def test_bad_eps_tie_exits_2_writing_nothing(self, corpus_dir, tmp_path, eps):
+        out = tmp_path / "o"
+        result = run_cli(
+            "convert", "--manifest", corpus_dir / "manifest.json", "--out", out, "--eps-tie", eps
+        )
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith("error:") and "eps_tie" in result.output
+        assert not out.exists()
+
+    def test_non_utf8_inputs_exit_2(self, corpus_dir, tmp_path):
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(b"\xff\xfe{}\n")
+        manifest = relocatable_manifest(corpus_dir)
+        manifest["utterances"][0]["features"] = str(bad)
+        bad_features = tmp_path / "manifest.json"
+        bad_features.write_text(json.dumps(manifest))
+        labels = convert(corpus_dir, tmp_path / "labels")
+        for args in (
+            ("convert", "--manifest", bad, "--out", tmp_path / "o1"),
+            ("synth", "--config", bad, "--out", tmp_path / "o2"),
+            ("train", "--manifest", corpus_dir / "manifest.json", "--labels", labels,
+             "--config", bad, "--out", tmp_path / "o3"),
+            ("train", "--manifest", bad_features, "--labels", labels, "--out", tmp_path / "o4"),
+        ):
+            result = run_cli(*args)
+            assert result.exit_code == 2, (args, result.output)
+            assert result.output.startswith("error:") and str(bad) in result.output
+
+    @pytest.mark.parametrize("thresholds", [{"theta2": 0.2}, {"theta1": "x", "theta2": 0.2}])
+    def test_malformed_thresholds_exit_2(self, corpus_dir, tmp_path, thresholds):
+        manifest = relocatable_manifest(corpus_dir)
+        manifest["thresholds"] = thresholds
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        result = run_cli("convert", "--manifest", path, "--out", tmp_path / "o")
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith("error:") and "ThresholdConfig" in result.output
 
     def test_rerun_is_byte_identical(self, corpus_dir, tmp_path):
         a = convert(corpus_dir, tmp_path / "a")
@@ -433,6 +481,29 @@ class TestSweepAndSynth:
         for line in lines[1:]:
             _, gamma, agreement = map(float, line.split(","))
             assert 0 <= gamma <= 1 and 0 <= agreement <= 1
+
+    @pytest.mark.parametrize("step", ["0", "1e-12"])
+    def test_bad_sweep_step_exits_2(self, corpus_dir, tmp_path, step):
+        out = tmp_path / "sweep"
+        result = run_cli(
+            "sweep", "--manifest", corpus_dir / "manifest.json", "--out", out, "--theta2-step", step
+        )
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith("error:") and not out.exists()
+
+    @pytest.mark.parametrize(
+        "args, config",
+        [(["--seed", "-1"], None), ([], {"seed": 1.5}), (["--seed", "3"], [1, 2])],
+        ids=["negative-seed", "float-seed", "list-config"],
+    )
+    def test_bad_synth_input_exits_2(self, tmp_path, args, config):
+        if config is not None:
+            (tmp_path / "synth.json").write_text(json.dumps(config))
+            args = [*args, "--config", tmp_path / "synth.json"]
+        out = tmp_path / "synthetic"
+        result = run_cli("synth", "--out", out, *args)
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith("error:") and not out.exists()
 
     def test_synth_command_round_trip(self, tmp_path):
         out = tmp_path / "synthetic"

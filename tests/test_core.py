@@ -14,8 +14,10 @@ from domm.core import (
     parse_annotations,
     parse_features,
     read_aol_csv,
+    read_json,
     read_rol_csv,
     write_aol_csv,
+    write_csv,
     write_rol_csv,
 )
 
@@ -150,6 +152,24 @@ def test_aol_rol_csv_round_trip(tmp_path):
     np.testing.assert_array_equal(back.normalized, rol.normalized)
 
 
+def test_write_csv_format(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(path, ["name", "n", "x"], [("a", 3, 0.5), ("b", np.int64(4), np.float64(2.0))],
+              utterance_id="u", period_s=0.04, skipped=None)
+    assert path.read_bytes() == (
+        b"#utterance_id=u\n#period_s=0.040000000000000001\nname,n,x\na,3,0.5\nb,4,2.0\n"
+    )
+
+
+def test_non_utf8_inputs_raise_data_error(tmp_path):
+    path = tmp_path / "bad"
+    path.write_bytes(b"\xff\xfe{}")
+    with pytest.raises(DataError, match="cannot load config"):
+        read_json(path, "config")
+    with pytest.raises(DataError, match="cannot read"):
+        parse_features(path)
+
+
 def _write_minimal_manifest(tmp_path, split_b="test"):
     (tmp_path / "f0.csv").write_text("f0\n1.0\n")
     (tmp_path / "a0.csv").write_text("#period_s=1.0\nr0\n0.0\n")
@@ -175,6 +195,12 @@ def test_load_manifest(tmp_path):
     m = load_manifest(_write_minimal_manifest(tmp_path))
     assert [u.utterance_id for u in m.split_entries("train")] == ["u0"]
     assert m.split_tags() == ["train", "test"]
+
+
+def test_empty_split_raises(tmp_path):
+    m = load_manifest(_write_minimal_manifest(tmp_path))
+    with pytest.raises(DataError, match="no utterances in split 'nosuch'"):
+        m.split_entries("nosuch")
 
 
 def test_load_manifest_duplicate_id(tmp_path):

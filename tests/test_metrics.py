@@ -122,11 +122,6 @@ class TestKendallTau:
         with pytest.raises(DataError):
             kendall_tau([1.0], [1.0])
 
-    def test_tau_b_on_tied_data(self):
-        assert kendall_tau([1, 2, 3, 4], [1.5, 1.5, 3, 4], variant="tau-b") == pytest.approx(
-            5 / np.sqrt(6 * 5)
-        )
-
 
 class TestPrecisionAtK:
     def test_perfect_prediction_all_k(self):

@@ -3,7 +3,7 @@ import pytest
 
 from domm.core import AolState, DataError
 from domm.metrics import uar
-from domm.omsvm import OmsvmModel, predict_aol, predict_aols, state_posteriors, train_omsvm
+from domm.omsvm import OmsvmModel, predict_aols, state_posteriors, train_omsvm
 
 L, M, H = 0, 1, 2
 
@@ -57,9 +57,9 @@ class TestPredict:
         rng = np.random.default_rng(4)
         features, labels = three_clusters(rng)
         model = train_omsvm(features, labels, c=1e-2)
-        assert predict_aol(model, [-1.0]) == AolState.LOW
-        assert predict_aol(model, [0.0]) == AolState.MEDIUM
-        assert predict_aol(model, [1.0]) == AolState.HIGH
+        assert predict_aols(model, [[-1.0]])[0] == AolState.LOW
+        assert predict_aols(model, [[0.0]])[0] == AolState.MEDIUM
+        assert predict_aols(model, [[1.0]])[0] == AolState.HIGH
 
     def test_zero_stage_score_defers_to_next_stage(self):
         from domm.svm import LinearModel, PlattCalibration
@@ -69,7 +69,7 @@ class TestPredict:
         cal = PlattCalibration(-1.0, 0.0)
         model = OmsvmModel(((zero_stage, cal), (medium_stage, cal)), "forward")
         # stage 1 scores exactly 0 -> not LOW; stage 2 score 0.5 > 0 -> MEDIUM
-        assert predict_aol(model, [0.0]) == AolState.MEDIUM
+        assert predict_aols(model, [[0.0]])[0] == AolState.MEDIUM
 
 
 class TestPosteriors:

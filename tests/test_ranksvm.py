@@ -3,14 +3,8 @@ import pytest
 
 from domm.core import DataError, RolSequence
 from domm.metrics import kendall_tau
-from domm.ranksvm import (
-    RankModel,
-    build_pairs,
-    ranks_from_scores,
-    score_frames,
-    train_ranksvm,
-)
-from domm.svm import newton_squared_hinge
+from domm.ranksvm import build_pairs, ranks_from_scores, train_ranksvm
+from domm.svm import LinearModel, decision_values, newton_squared_hinge
 
 
 def rol(ranks, uid="u"):
@@ -50,8 +44,8 @@ class TestTrainRankSVM:
         features = ranks[:, None]
         pairs = build_pairs([rol(ranks)])
         model = train_ranksvm(features, pairs, c=1.0)
-        assert model.base.weights[0] > 0
-        scores = score_frames(model, features)
+        assert model.weights[0] > 0
+        scores = decision_values(model, features)
         # every preference pair satisfied in score order
         assert np.all(scores[pairs[:, 0]] > scores[pairs[:, 1]])
 
@@ -63,7 +57,7 @@ class TestTrainRankSVM:
         model = train_ranksvm(features, pairs, c=1e-4)
         held_features = rng.normal(size=(100, 5))
         held_ranks = rng.permutation(np.arange(1.0, 101.0))
-        tau = kendall_tau(held_ranks, score_frames(model, held_features))
+        tau = kendall_tau(held_ranks, decision_values(model, held_features))
         assert abs(tau) < 0.2
 
     def test_noiseless_linear_latent_ranks_held_out(self):
@@ -85,7 +79,7 @@ class TestTrainRankSVM:
         # c trades the regularizer against the pair losses; at desk scale the
         # data term needs this much weight to pin the unmixing direction
         model = train_ranksvm(x_train, pairs, c=1.0)
-        tau = kendall_tau(rankdata(latent_test), score_frames(model, x_test))
+        tau = kendall_tau(rankdata(latent_test), decision_values(model, x_test))
         assert tau >= 0.95
 
     def test_empty_pairs_error(self):
@@ -101,28 +95,22 @@ class TestTrainRankSVM:
 
 class TestScoresAndRanks:
     def test_zero_model_scores_zero(self):
-        from domm.svm import LinearModel
-
-        model = RankModel(LinearModel(np.zeros(3), 0.0, np.zeros(3), np.ones(3)))
-        np.testing.assert_array_equal(score_frames(model, np.ones((5, 3))), np.zeros(5))
+        model = LinearModel(np.zeros(3), 0.0, np.zeros(3), np.ones(3))
+        np.testing.assert_array_equal(decision_values(model, np.ones((5, 3))), np.zeros(5))
 
     def test_constant_shift_moves_scores_equally(self):
-        from domm.svm import LinearModel
-
         rng = np.random.default_rng(4)
-        model = RankModel(LinearModel(rng.normal(size=3), 0.0, np.zeros(3), np.ones(3)))
+        model = LinearModel(rng.normal(size=3), 0.0, np.zeros(3), np.ones(3))
         frames = rng.normal(size=(10, 3))
         shift = np.array([0.5, -1.0, 2.0])
-        base = score_frames(model, frames)
-        moved = score_frames(model, frames + shift)
-        np.testing.assert_allclose(moved - base, model.base.weights @ shift, atol=1e-12)
+        base = decision_values(model, frames)
+        moved = decision_values(model, frames + shift)
+        np.testing.assert_allclose(moved - base, model.weights @ shift, atol=1e-12)
 
     def test_monotone_input_monotone_scores(self):
-        from domm.svm import LinearModel
-
-        model = RankModel(LinearModel(np.array([2.0]), 0.0, np.zeros(1), np.ones(1)))
+        model = LinearModel(np.array([2.0]), 0.0, np.zeros(1), np.ones(1))
         series = np.linspace(-1, 1, 30)[:, None]
-        assert np.all(np.diff(score_frames(model, series)) > 0)
+        assert np.all(np.diff(decision_values(model, series)) > 0)
 
     def test_ranks_from_scores_cases(self):
         np.testing.assert_array_equal(ranks_from_scores([0.1, 0.9, 0.5]).ranks, [1, 3, 2])

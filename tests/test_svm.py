@@ -8,7 +8,6 @@ from domm.core import DataError
 from domm.svm import (
     LinearModel,
     PlattCalibration,
-    decision_value,
     decision_values,
     fit_platt,
     fit_standardization,
@@ -57,6 +56,16 @@ def test_objective_trace_non_increasing():
     assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
 
 
+def test_newton_stops_at_first_step_that_does_not_lower_the_objective():
+    # this solve flattens after a few steps with the gradient norm above GRAD_TOL;
+    # accepting the flat steps would run on to MAX_NEWTON_STEPS
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(20000, 10))
+    y = np.sign(x[:, 0] + rng.normal(size=20000))
+    _, trace = newton_squared_hinge(x, y, c=1.0)
+    assert all(b < a for a, b in zip(trace, trace[1:]))
+
+
 def test_separable_1d_reaches_full_accuracy():
     features = np.array([[-1.0], [-1.2], [1.0], [1.3]])
     labels = np.array([-1.0, -1.0, 1.0, 1.0])
@@ -96,7 +105,7 @@ def test_decision_value_hand_computed():
     model = LinearModel(
         weights=np.array([2.0]), bias=1.0, mean=np.array([0.0]), std=np.array([1.0])
     )
-    assert decision_value(model, [3.0]) == 7.0
+    assert decision_values(model, [3.0])[0] == 7.0
 
 
 def test_decision_value_zero_model_and_mean_input():
@@ -104,9 +113,9 @@ def test_decision_value_zero_model_and_mean_input():
     x = rng.normal(size=(30, 3))
     mean, std = fit_standardization(x)
     zero = LinearModel(weights=np.zeros(3), bias=0.0, mean=mean, std=std)
-    assert decision_value(zero, rng.normal(size=3)) == 0.0
+    assert decision_values(zero, rng.normal(size=3))[0] == 0.0
     nonzero = LinearModel(weights=np.array([1.0, -2.0, 0.5]), bias=0.0, mean=mean, std=std)
-    assert abs(decision_value(nonzero, mean)) < 1e-15
+    assert abs(decision_values(nonzero, mean)[0]) < 1e-15
 
 
 def test_decision_value_dimension_mismatch():
@@ -114,7 +123,7 @@ def test_decision_value_dimension_mismatch():
         weights=np.array([1.0, 2.0]), bias=0.0, mean=np.zeros(2), std=np.ones(2)
     )
     with pytest.raises(DataError, match="dimension"):
-        decision_value(model, [1.0, 2.0, 3.0])
+        decision_values(model, [1.0, 2.0, 3.0])
 
 
 def test_decision_value_is_affine_in_standardized_space():
@@ -125,8 +134,8 @@ def test_decision_value_is_affine_in_standardized_space():
     for _ in range(20):
         x1, x2 = rng.normal(size=4), rng.normal(size=4)
         alpha = rng.random()
-        mixed = decision_value(model, alpha * x1 + (1 - alpha) * x2)
-        combo = alpha * decision_value(model, x1) + (1 - alpha) * decision_value(model, x2)
+        mixed = decision_values(model, alpha * x1 + (1 - alpha) * x2)[0]
+        combo = alpha * decision_values(model, x1)[0] + (1 - alpha) * decision_values(model, x2)[0]
         assert abs(mixed - combo) < 1e-9
 
 

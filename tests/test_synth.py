@@ -117,3 +117,15 @@ def test_config_validation():
         SynthConfig(latent_smoothness=1.0)
     with pytest.raises(DataError):
         SynthConfig(annotator_noise_std=-0.1)
+    for bad in ({"seed": -1}, {"seed": 1.5}, {"n_utterances": True}, {"frame_period_s": float("nan")}):
+        with pytest.raises(DataError, match=next(iter(bad))):
+            SynthConfig(**bad)
+
+
+def test_config_json_round_trip_and_rejects():
+    cfg = small_config()
+    assert SynthConfig.from_dict(cfg.to_dict()) == cfg
+    with pytest.raises(DataError, match="JSON object"):
+        SynthConfig.from_dict([1, 2])
+    with pytest.raises(DataError, match="unknown"):
+        SynthConfig.from_dict({"n_utterance": 3})
