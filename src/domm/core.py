@@ -316,10 +316,21 @@ def write_json(path, obj) -> None:
     Path(path).write_text(canonical_json(obj) + "\n", encoding="ascii")
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text}")
+    return value
+
+
 def read_json(path, what: str):
-    """Parse a JSON file; an unreadable, non-UTF-8 or malformed file raises DataError."""
+    """Parse a JSON file; an unreadable, non-UTF-8 or malformed file raises DataError.
+
+    NaN, Infinity and numbers that overflow to infinity count as malformed.
+    """
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        text = Path(path).read_text(encoding="utf-8")
+        return json.loads(text, parse_float=_finite_float, parse_constant=_finite_float)
     except (OSError, ValueError) as exc:
         raise DataError(f"cannot load {what} {path}: {exc}") from exc
 
@@ -397,17 +408,20 @@ def _parse_matrix(path, header: list[str], rows: list[list[str]]) -> np.ndarray:
     return out
 
 
+def _meta_float(path, meta: dict[str, str], key: str) -> float:
+    try:
+        return _finite_float(meta[key])
+    except ValueError as exc:
+        raise DataError(f"{path}: '#{key}=' must be a finite number, got {meta[key]!r}") from exc
+
+
 def parse_features(path) -> UtteranceFeatures:
     """Parse a feature CSV: optional ``#key=value`` metadata, header, one row per frame."""
     meta, header, rows = _read_csv_lines(path)
     frames = _parse_matrix(path, header, rows)
     utterance_id = meta.get("utterance_id", Path(path).stem)
-    period = meta.get("frame_period_s")
-    return UtteranceFeatures(
-        utterance_id=utterance_id,
-        frames=frames,
-        frame_period_s=float(period) if period is not None else None,
-    )
+    period = _meta_float(path, meta, "frame_period_s") if "frame_period_s" in meta else None
+    return UtteranceFeatures(utterance_id=utterance_id, frames=frames, frame_period_s=period)
 
 
 def parse_annotations(path, value_range: tuple[float, float]) -> AnnotationSet:
@@ -419,7 +433,7 @@ def parse_annotations(path, value_range: tuple[float, float]) -> AnnotationSet:
     return AnnotationSet(
         utterance_id=meta.get("utterance_id", Path(path).stem),
         values=values.T.copy(),
-        period_s=float(meta["period_s"]),
+        period_s=_meta_float(path, meta, "period_s"),
         value_range=(float(value_range[0]), float(value_range[1])),
     )
 

@@ -50,6 +50,10 @@ UNDECIDED = 2
 
 BOUNDARY_MODES = ("text-rule", "table-half-open")
 
+# convert builds the consensus this many rows at a time, so its memory is
+# O(R * BLOCK_ROWS * T) rather than O(R * T^2)
+BLOCK_ROWS = 256
+
 
 @dataclass(frozen=True)
 class ThresholdConfig:
@@ -203,7 +207,10 @@ def sweep_thresholds(
         raise DataError("no annotation sets")
     if preprocessing is not None:
         annotations = [preprocess_annotations(a, *preprocessing) for a in annotations]
-    n_annotators = annotations[0].n_annotators
+    counts = sorted({a.n_annotators for a in annotations})
+    if len(counts) != 1:
+        raise DataError(f"annotation sets have different annotator counts {counts}")
+    n_annotators = counts[0]
     rows = []
     for cfg in grid:
         pooled = [
@@ -231,17 +238,19 @@ def sweep_thresholds(
 # ---------------------------------------------------------------------------
 
 
-def comparison_matrix(values, eps_tie: float = 0.0) -> np.ndarray:
-    """T x T pairwise comparisons of one smoothed series.
+def comparison_matrix(values, eps_tie: float = 0.0, rows: slice = slice(None)) -> np.ndarray:
+    """Rows ``rows`` of the T x T pairwise comparisons of one smoothed series.
 
     entry(i, j) is INCREASE when value_j > value_i + eps_tie, DECREASE when
     value_j < value_i - eps_tie, else TIE. Antisymmetric by construction.
+    The default ``rows`` gives the whole matrix.
     """
+    if not eps_tie >= 0:
+        raise DataError(f"eps_tie must be >= 0, got {eps_tie}")
     v = np.asarray(values, dtype=float)
-    diff = v[None, :] - v[:, None]
-    out = np.zeros((v.size, v.size), dtype=np.int8)
-    out[diff > eps_tie] = INCREASE
-    out[diff < -eps_tie] = DECREASE
+    diff = v[None, :] - v[rows, None]
+    out = (diff > eps_tie).view(np.int8)
+    out -= diff < -eps_tie
     return out
 
 
@@ -249,34 +258,40 @@ def qa_consensus(matrices: list[np.ndarray]) -> np.ndarray:
     """Cell-wise strict-majority vote over annotator comparison matrices.
 
     A cell with no strict majority among {INCREASE, DECREASE, TIE} becomes
-    UNDECIDED. Ties are votable like any other judgment.
+    UNDECIDED. Ties are votable like any other judgment. The matrices may be
+    any common block of rows.
     """
     if not matrices:
         raise DataError("no comparison matrices")
     shapes = {m.shape for m in matrices}
     if len(shapes) != 1:
         raise DataError(f"comparison matrices have mismatched sizes {sorted(shapes)}")
-    stack = np.stack(matrices)
-    n = stack.shape[0]
-    counts = np.stack([(stack == v).sum(axis=0) for v in (INCREASE, DECREASE, TIE)])
-    winner = counts.argmax(axis=0)
-    decided = counts.max(axis=0) > n / 2.0
-    values = np.array([INCREASE, DECREASE, TIE], dtype=np.int8)
-    out = np.where(decided, values[winner], np.int8(UNDECIDED))
-    return out.astype(np.int8)
+    n = len(matrices)
+    count_dtype = np.min_scalar_type(n)
+    out = np.full(matrices[0].shape, UNDECIDED, dtype=np.int8)
+    for value in (INCREASE, DECREASE, TIE):
+        count = np.zeros(out.shape, dtype=count_dtype)
+        for m in matrices:
+            count += m == value
+        # a strict majority (count > n/2) is unique, so no cell is assigned twice
+        out[count > n // 2] = value
+    return out
 
 
-def ranks_from_consensus(matrix: np.ndarray, utterance_id: str = "") -> RolSequence:
+def ranks_from_consensus(blocks, utterance_id: str = "") -> RolSequence:
     """Rank windows from a consensus matrix by Copeland score.
 
     Score of window i = (#INCREASE in column i) - (#DECREASE in column i),
     counting only decided cells; ranks are assigned by ascending score with
     the tied-average convention. Handles intransitive and undecided cells.
+    ``blocks`` is the whole matrix or an iterable of its row blocks, whose
+    column scores are summed.
     """
-    m = np.asarray(matrix)
-    wins = (m == INCREASE).sum(axis=0)
-    losses = (m == DECREASE).sum(axis=0)
-    scores = wins - losses
+    if isinstance(blocks, np.ndarray):
+        blocks = [blocks]
+    scores = sum(
+        (m == INCREASE).sum(axis=0) - (m == DECREASE).sum(axis=0) for m in map(np.atleast_2d, blocks)
+    )
     return RolSequence.from_ranks(utterance_id, average_ranks(scores))
 
 
@@ -288,13 +303,17 @@ def convert_annotation_set(
     overlap: float,
     eps_tie: float = 0.0,
 ) -> tuple[AolSequence, RolSequence, list[AolSequence]]:
-    """Full conversion for one utterance: consensus labels, consensus ranks, per-annotator labels."""
+    """Full conversion for one utterance: consensus labels, consensus ranks, per-annotator labels.
+
+    The consensus ranks are built BLOCK_ROWS comparison-matrix rows at a time.
+    """
     smoothed = preprocess_annotations(ann, delay_s, window_s, overlap)
     per_annotator = [
         interval_to_aol(smoothed.values[r], cfg, ann.utterance_id)
         for r in range(smoothed.n_annotators)
     ]
     consensus = consensus_aol(per_annotator)
-    matrices = [comparison_matrix(smoothed.values[r], eps_tie) for r in range(smoothed.n_annotators)]
-    ranks = ranks_from_consensus(qa_consensus(matrices), ann.utterance_id)
+    rows = [slice(i, i + BLOCK_ROWS) for i in range(0, smoothed.n_samples, BLOCK_ROWS)]
+    blocks = (qa_consensus([comparison_matrix(v, eps_tie, r) for v in smoothed.values]) for r in rows)
+    ranks = ranks_from_consensus(blocks, ann.utterance_id)
     return consensus, ranks, per_annotator

@@ -82,25 +82,67 @@ def _rank_arrays(a, b) -> tuple[np.ndarray, np.ndarray]:
     rb = np.asarray(getattr(b, "ranks", b), dtype=float)
     if ra.shape != rb.shape or ra.ndim != 1:
         raise DataError("rank sequences must be equal-length 1-D")
+    if not (np.all(np.isfinite(ra)) and np.all(np.isfinite(rb))):
+        raise DataError("rank sequences must be finite")
     return ra, rb
+
+
+def _tied_pairs(sorted_keys: np.ndarray) -> int:
+    """Pairs within runs of equal rows of ``sorted_keys`` (n x k, equal rows adjacent)."""
+    change = np.any(sorted_keys[1:] != sorted_keys[:-1], axis=1)
+    runs = np.diff(np.flatnonzero(np.concatenate(([True], change, [True]))))
+    return int(np.sum(runs * (runs - 1) // 2))
+
+
+def _inversions(x: np.ndarray) -> int:
+    """Pairs i < j with x[i] > x[j], by a merge-sort count run from its merged end.
+
+    ``order`` starts as the fully merged state: every position, sorted by
+    (value, position). Each pass splits every block of w positions into its
+    two halves, counts the pairs the merge of those halves would count (a
+    right-half position before a left-half one in value order), and stably
+    partitions the block into left then right. Equal values are ordered by
+    position, so they never count. O(n) per pass, ceil(log2 n) passes.
+    """
+    n = x.size
+    order = np.argsort(x, kind="stable")
+    index = np.arange(n)
+    total = 0
+    w = 1 << (n - 1).bit_length()
+    while w > 1:
+        half = w // 2
+        start = order & -w  # first position of the block, and its first index in order
+        right = (order & half) != 0
+        seen = np.concatenate(([0], np.cumsum(right)))
+        right_before = seen[:-1] - seen[start]
+        total += int(right_before[~right].sum())
+        # a block with any right half has a full left half
+        moved = np.empty_like(order)
+        moved[np.where(right, start + half + right_before, index - right_before)] = order
+        order = moved
+        w = half
+    return total
 
 
 def kendall_tau(ranks_a, ranks_b) -> float:
     """Kendall's tau-a, (C - D) / T with the fixed denominator T = n(n-1)/2.
 
-    Pairs tied in either sequence count toward neither C nor D.
+    Pairs tied in either sequence count toward neither C nor D. Knight's
+    (1966) O(n log n) count: sort by (a, b), so that D is the number of
+    strict inversions of b, and C - D = T - ties_a - ties_b + ties_ab - 2D.
     """
     ra, rb = _rank_arrays(ranks_a, ranks_b)
     n = ra.size
     if n < 2:
         raise DataError("Kendall's tau needs at least two items")
-    sign_a = np.sign(ra[:, None] - ra[None, :])
-    sign_b = np.sign(rb[:, None] - rb[None, :])
-    upper = np.triu_indices(n, k=1)
-    prod = sign_a[upper] * sign_b[upper]
-    concordant = int(np.sum(prod > 0))
-    discordant = int(np.sum(prod < 0))
-    return (concordant - discordant) / (n * (n - 1) / 2.0)
+    order = np.lexsort((rb, ra))
+    a, b = ra[order], rb[order]
+    pairs = n * (n - 1) // 2
+    ties_a = _tied_pairs(a[:, None])
+    ties_ab = _tied_pairs(np.column_stack((a, b)))
+    ties_b = _tied_pairs(np.sort(b)[:, None])
+    c_minus_d = pairs - ties_a - ties_b + ties_ab - 2 * _inversions(b)
+    return c_minus_d / pairs
 
 
 def precision_at_k(truth, predicted, k: float) -> float:

@@ -52,6 +52,26 @@ def relocatable_manifest(corpus_dir) -> dict:
     return manifest
 
 
+def with_edited_file(corpus_dir, tmp_path, key, edit) -> Path:
+    """A manifest whose first utterance's ``key`` file is an edited copy; returns its path."""
+    manifest = relocatable_manifest(corpus_dir)
+    entry = manifest["utterances"][0]
+    edited = tmp_path / Path(entry[key]).name
+    edited.write_text(edit(Path(entry[key]).read_text()))
+    entry[key] = str(edited)
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    return path
+
+
+def assert_exit_2(result, *fragments):
+    assert result.exit_code == 2, result.output
+    assert result.output.startswith("error:"), result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    for fragment in fragments:
+        assert fragment in result.output
+
+
 def convert(corpus_dir, out):
     result = run_cli("convert", "--manifest", corpus_dir / "manifest.json", "--out", out)
     assert result.exit_code == 0, result.output
@@ -119,6 +139,21 @@ class TestConvert:
         result = run_cli("convert", "--manifest", path, "--out", tmp_path / "o")
         assert result.exit_code == 2, result.output
         assert result.output.startswith("error:") and "ThresholdConfig" in result.output
+
+    def test_bad_period_metadata_exits_2(self, corpus_dir, tmp_path):
+        manifest = with_edited_file(
+            corpus_dir, tmp_path, "annotations", lambda text: text.replace("#period_s=", "#period_s=abc")
+        )
+        result = run_cli("convert", "--manifest", manifest, "--out", tmp_path / "o")
+        assert_exit_2(result, "'#period_s=' must be a finite number")
+
+    def test_nan_window_exits_2(self, corpus_dir, tmp_path):
+        manifest = relocatable_manifest(corpus_dir)
+        manifest["preprocessing"]["window_s"] = float("nan")
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        result = run_cli("convert", "--manifest", path, "--out", tmp_path / "o")
+        assert_exit_2(result, "non-finite number NaN")
 
     def test_rerun_is_byte_identical(self, corpus_dir, tmp_path):
         a = convert(corpus_dir, tmp_path / "a")
@@ -206,6 +241,14 @@ class TestTrain:
             (out / "model.json").write_text(json.dumps(raw))
             with pytest.raises(DataError, match=part):
                 load_model_bundle(out / "model.json")
+
+    def test_bad_frame_period_metadata_exits_2(self, corpus_dir, tmp_path):
+        labels = convert(corpus_dir, tmp_path / "labels")
+        manifest = with_edited_file(
+            corpus_dir, tmp_path, "features", lambda text: text.replace("_period_s=", "_period_s=xyz")
+        )
+        result = run_cli("train", "--manifest", manifest, "--labels", labels, "--out", tmp_path / "m")
+        assert_exit_2(result, "'#frame_period_s=' must be a finite number")
 
     @pytest.mark.parametrize(
         "config",
@@ -481,6 +524,16 @@ class TestSweepAndSynth:
         for line in lines[1:]:
             _, gamma, agreement = map(float, line.split(","))
             assert 0 <= gamma <= 1 and 0 <= agreement <= 1
+
+    def test_mixed_annotator_counts_exit_2(self, corpus_dir, tmp_path):
+        def drop_last_column(text):
+            return "\n".join(
+                line if line.startswith("#") else line.rsplit(",", 1)[0] for line in text.splitlines()
+            )
+
+        manifest = with_edited_file(corpus_dir, tmp_path, "annotations", drop_last_column)
+        result = run_cli("sweep", "--manifest", manifest, "--out", tmp_path / "sweep")
+        assert_exit_2(result, "different annotator counts [3, 4]")
 
     @pytest.mark.parametrize("step", ["0", "1e-12"])
     def test_bad_sweep_step_exits_2(self, corpus_dir, tmp_path, step):

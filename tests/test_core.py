@@ -170,6 +170,26 @@ def test_non_utf8_inputs_raise_data_error(tmp_path):
         parse_features(path)
 
 
+@pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_read_json_rejects_non_finite_numbers(tmp_path, number):
+    path = tmp_path / "config.json"
+    path.write_text('{"window_s": %s}' % number)
+    with pytest.raises(DataError, match="non-finite number"):
+        read_json(path, "config")
+
+
+@pytest.mark.parametrize("value", ["abc", "nan", "inf"])
+def test_bad_period_metadata_raises_data_error(tmp_path, value):
+    features = tmp_path / "f.csv"
+    features.write_text(f"#frame_period_s={value}\nf0\n1.0\n")
+    with pytest.raises(DataError, match="'#frame_period_s=' must be a finite number"):
+        parse_features(features)
+    annotations = tmp_path / "a.csv"
+    annotations.write_text(f"#period_s={value}\nr0\n0.0\n")
+    with pytest.raises(DataError, match="'#period_s=' must be a finite number"):
+        parse_annotations(annotations, (-1.0, 1.0))
+
+
 def _write_minimal_manifest(tmp_path, split_b="test"):
     (tmp_path / "f0.csv").write_text("f0\n1.0\n")
     (tmp_path / "a0.csv").write_text("#period_s=1.0\nr0\n0.0\n")

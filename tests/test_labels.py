@@ -1,8 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from domm.core import AnnotationSet, AolSequence, DataError
+from domm.core import AnnotationSet, AolSequence, DataError, average_ranks
 from domm.labels import (
+    BLOCK_ROWS,
     DECREASE,
     INCREASE,
     TIE,
@@ -29,6 +34,31 @@ def make_annotations(series_list, period=0.04, value_range=(-1.0, 1.0), uid="u")
 
 def aol(labels, uid="u"):
     return AolSequence(uid, np.asarray(labels))
+
+
+def dense_consensus_ranks(values, eps_tie=0.0):
+    """Copeland ranks of the whole-matrix consensus: int64 vote counts, argmax, majority test."""
+    values = np.asarray(values, dtype=float)
+    stack = []
+    for v in values:
+        diff = v[None, :] - v[:, None]
+        m = np.zeros(diff.shape, dtype=np.int8)
+        m[diff > eps_tie] = INCREASE
+        m[diff < -eps_tie] = DECREASE
+        stack.append(m)
+    stack = np.stack(stack)
+    codes = np.array([INCREASE, DECREASE, TIE])
+    counts = np.stack([(stack == c).sum(axis=0, dtype=np.int64) for c in codes])
+    consensus = np.where(counts.max(axis=0) > len(values) / 2.0, codes[counts.argmax(axis=0)], UNDECIDED)
+    scores = (consensus == INCREASE).sum(axis=0) - (consensus == DECREASE).sum(axis=0)
+    return average_ranks(scores)
+
+
+def tied_series(seed, n_annotators, n_frames, steps):
+    """Random walks in [-1, 1] rounded to multiples of 1/steps, so most frames tie."""
+    rng = np.random.default_rng(seed)
+    walks = np.cumsum(rng.normal(size=(n_annotators, n_frames)), axis=1)
+    return np.round(walks / max(1.0, np.abs(walks).max()) * steps) / steps
 
 
 class TestPreprocess:
@@ -174,6 +204,11 @@ class TestSweep:
         with pytest.raises(DataError, match="grid"):
             sweep_thresholds([make_annotations([np.zeros(3)])], [])
 
+    def test_different_annotator_counts_error(self):
+        sets = [make_annotations(np.zeros((2, 5))), make_annotations(np.zeros((3, 5)))]
+        with pytest.raises(DataError, match=r"annotator counts \[2, 3\]"):
+            sweep_thresholds(sets, [ThresholdConfig(-0.2, 0.2)])
+
 
 class TestComparisonMatrix:
     def test_monotone_series(self):
@@ -192,6 +227,17 @@ class TestComparisonMatrix:
         rng = np.random.default_rng(6)
         m = comparison_matrix(rng.uniform(size=20), eps_tie=0.05)
         assert np.all((m == -m.T) | ((m == TIE) & (m.T == TIE)))
+
+    def test_row_block_is_slice_of_whole_matrix(self):
+        v = np.round(np.random.default_rng(10).uniform(size=30), 1)
+        whole = comparison_matrix(v, 0.1)
+        for rows in (slice(0, 7), slice(7, 30), slice(25, 40)):
+            np.testing.assert_array_equal(comparison_matrix(v, 0.1, rows), whole[rows])
+
+    @pytest.mark.parametrize("eps", [-0.1, float("nan")])
+    def test_negative_or_nan_eps_errors(self, eps):
+        with pytest.raises(DataError, match="eps_tie"):
+            comparison_matrix([0.1, 0.2], eps)
 
 
 class TestQaConsensus:
@@ -251,6 +297,14 @@ class TestRanksFromConsensus:
         ranks = ranks_from_consensus(m)
         np.testing.assert_array_equal(ranks.ranks, [1.5, 1.5])
 
+    def test_row_blocks_sum_to_whole_matrix(self):
+        series = tied_series(12, 5, 40, steps=3)
+        consensus = qa_consensus([comparison_matrix(v) for v in series])
+        blocks = (consensus[i : i + 9] for i in range(0, 40, 9))
+        whole = ranks_from_consensus(consensus)
+        np.testing.assert_array_equal(ranks_from_consensus(blocks).ranks, whole.ranks)
+        np.testing.assert_array_equal(ranks_from_consensus(consensus.tolist()).ranks, whole.ranks)
+
 
 def test_convert_annotation_set_end_to_end():
     rng = np.random.default_rng(9)
@@ -259,6 +313,41 @@ def test_convert_annotation_set_end_to_end():
     series = [np.clip(base + rng.normal(scale=0.02, size=60), -1, 1) for _ in range(5)]
     ann = make_annotations(series)
     cfg = ThresholdConfig(-0.3, 0.3)
-    consensus, ranks, per_annotator = convert_annotation_set(ann, cfg, 0.0, 0.2, 0.0)
-    assert len(consensus) == len(ranks) == 12
-    assert len(per_annotator) == 5
+    consensus, ranks, per_annotator = convert_annotation_set(ann, cfg, 0.0, 0.2, 0.0, eps_tie=0.01)
+    smoothed = preprocess_annotations(ann, 0.0, 0.2, 0.0).values
+    np.testing.assert_array_equal(ranks.ranks, dense_consensus_ranks(smoothed, 0.01))
+    np.testing.assert_array_equal(
+        consensus.labels, consensus_aol([interval_to_aol(v, cfg) for v in smoothed]).labels
+    )
+    assert [s.labels.tolist() for s in per_annotator] == [
+        interval_to_aol(v, cfg).labels.tolist() for v in smoothed
+    ]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    n_annotators=st.sampled_from(range(1, 8)),
+    # at least half the draws span two or three blocks, most with a partial last one
+    n_frames=st.one_of(st.integers(1, 600), st.integers(BLOCK_ROWS + 1, 600)),
+    steps=st.integers(1, 6),
+    eps_tie=st.sampled_from([0.0, 0.1, 0.25, 0.5]),
+    seed=st.integers(0, 2**16),
+)
+def test_blocked_ranks_equal_dense_consensus(n_annotators, n_frames, steps, eps_tie, seed):
+    values = tied_series(seed, n_annotators, n_frames, steps)
+    ann = make_annotations(values, period=1.0)
+    _, ranks, _ = convert_annotation_set(ann, ThresholdConfig(-0.3, 0.3), 0.0, 1.0, 0.0, eps_tie)
+    np.testing.assert_array_equal(ranks.ranks, dense_consensus_ranks(values, eps_tie))
+
+
+def test_convert_peak_memory_under_40mb_at_3000_frames():
+    """R=6 whole matrices at T=3000 would take 54 MB as int8, before any vote count."""
+    assert BLOCK_ROWS < 3000
+    ann = make_annotations(tied_series(13, 6, 3000, steps=20), period=1.0)
+    tracemalloc.start()
+    try:
+        convert_annotation_set(ann, ThresholdConfig(-0.3, 0.3), 0.0, 1.0, 0.0, 0.01)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from domm.core import DataError
 from domm.metrics import (
@@ -121,6 +125,36 @@ class TestKendallTau:
     def test_too_short_errors(self):
         with pytest.raises(DataError):
             kendall_tau([1.0], [1.0])
+
+    def test_non_finite_ranks_error(self):
+        with pytest.raises(DataError, match="finite"):
+            kendall_tau([1.0, np.nan, 3.0], [1.0, 2.0, 3.0])
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 150),
+        levels_a=st.sampled_from([1, 2, 3, 5, 20, 1000]),
+        levels_b=st.sampled_from([1, 2, 3, 5, 20, 1000]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_equals_pair_enumeration_under_heavy_ties(self, n, levels_a, levels_b, seed):
+        rng = np.random.default_rng(seed)
+        ra = rng.integers(0, levels_a, n) / 2.0
+        rb = rng.integers(0, levels_b, n) / 2.0
+        assert kendall_tau(ra, rb) == tau_oracle(ra, rb)
+
+    def test_peak_memory_under_5mb_at_3000_items(self):
+        """Two float64 sign matrices at T=3000 would take 144 MB."""
+        rng = np.random.default_rng(37)
+        ra = rng.integers(0, 300, 3000).astype(float)
+        rb = rng.normal(size=3000)
+        tracemalloc.start()
+        try:
+            kendall_tau(ra, rb)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
 
 
 class TestPrecisionAtK:
