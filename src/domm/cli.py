@@ -223,13 +223,12 @@ def train(manifest_path, labels_dir, out_dir, config_path, seed, variant, split)
 @click.option("--out", "out_dir", required=True, type=click.Path())
 @click.option("--labels", "labels_dir", type=click.Path(exists=True), help="Needed for ground-truth rank decoding.")
 @click.option("--config", "config_path", type=click.Path(exists=True))
-@click.option("--seed", type=int, default=None)
 @click.option("--split", default="test", show_default=True)
 @_fail_on_data_errors
-def decode(bundle_path, manifest_path, out_dir, labels_dir, config_path, seed, split):
+def decode(bundle_path, manifest_path, out_dir, labels_dir, config_path, split):
     """Decode a split into predicted label (and rank) files."""
     manifest = load_manifest(manifest_path)
-    config = _load_config(ExperimentConfig, config_path, seed=seed)
+    config = _load_config(ExperimentConfig, config_path)
     bundle = load_model_bundle(bundle_path)
     entries = manifest.split_entries(split)
     truth = load_labels_dir(labels_dir, entries) if labels_dir is not None else None
@@ -260,13 +259,12 @@ def decode(bundle_path, manifest_path, out_dir, labels_dir, config_path, seed, s
 @click.option("--labels", "labels_dir", required=True, type=click.Path(exists=True))
 @click.option("--out", "out_dir", required=True, type=click.Path())
 @click.option("--split", default="test", show_default=True)
-@click.option("--seed", type=int, default=None)
 @click.option("--config", "config_path", type=click.Path(exists=True))
 @_fail_on_data_errors
-def eval_cmd(manifest_path, pred_dir, labels_dir, out_dir, split, seed, config_path):
+def eval_cmd(manifest_path, pred_dir, labels_dir, out_dir, split, config_path):
     """Score predictions against converted ground truth."""
     manifest = load_manifest(manifest_path)
-    config = _load_config(ExperimentConfig, config_path, seed=seed)
+    config = _load_config(ExperimentConfig, config_path)
     entries = manifest.split_entries(split)
     truth = load_labels_dir(labels_dir, entries)
     pred_dir = Path(pred_dir)

@@ -193,6 +193,8 @@ class RolSequence:
         t = self.ranks.size
         if self.ranks.ndim != 1 or t < 1 or self.normalized.shape != self.ranks.shape:
             raise DataError(f"{self.utterance_id}: ranks/normalized must be equal-length 1-D")
+        if not (np.all(np.isfinite(self.ranks)) and np.all(np.isfinite(self.normalized))):
+            raise DataError(f"{self.utterance_id}: ranks contain non-finite values")
         expected = t * (t + 1) / 2.0
         if abs(self.ranks.sum() - expected) > 1e-6 * max(expected, 1.0):
             raise DataError(
@@ -506,11 +508,14 @@ def load_manifest(path) -> DatasetManifest:
             )
         if not entries:
             raise DataError(f"{path}: manifest declares no utterances")
+        lo, hi = float(raw["value_range"][0]), float(raw["value_range"][1])
+        if not lo < hi:
+            raise DataError(f"{path}: value_range [{lo}, {hi}] must have low < high")
         pre = raw["preprocessing"]
         manifest = DatasetManifest(
             dataset_name=str(raw["dataset_name"]),
             dimension_name=str(raw["dimension_name"]),
-            value_range=(float(raw["value_range"][0]), float(raw["value_range"][1])),
+            value_range=(lo, hi),
             preprocessing=Preprocessing(
                 delay_s=float(pre["delay_s"]),
                 window_s=float(pre["window_s"]),

@@ -7,14 +7,13 @@ maximizes
     log P(s_1 | x_1) + sum_t [ log P(s_t | s_{t-1}, d_t) + log P(s_t | x_t) ]
 
 Ties in every per-step maximum break toward the lower state code, which
-makes decoding deterministic and lets the exhaustive oracle reproduce it
-exactly: among equally scored sequences the decoder returns the one that is
-lexicographically smallest read from the last frame backwards.
+makes decoding deterministic: among equally scored sequences the decoder
+returns the one that is lexicographically smallest read from the last frame
+backwards.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,13 +23,11 @@ from domm.transitions import TransitionModel, transition_matrices
 
 __all__ = [
     "StateLattice",
-    "brute_force_decode",
     "framewise_argmax",
     "viterbi_decode",
 ]
 
 PROB_FLOOR = 1e-300
-BRUTE_FORCE_LIMIT = 12
 
 
 @dataclass(frozen=True)
@@ -56,14 +53,6 @@ class StateLattice:
         return self.posteriors.shape[0]
 
 
-def _log_scores(lattice: StateLattice, model: TransitionModel):
-    log_post = np.log(np.maximum(lattice.posteriors, PROB_FLOOR))
-    if lattice.n_frames == 1:
-        return log_post, None
-    trans = transition_matrices(model, lattice.deltas)
-    return log_post, np.log(np.maximum(trans, PROB_FLOOR))
-
-
 def framewise_argmax(posteriors: np.ndarray, utterance_id: str = "") -> AolSequence:
     """Per-frame most probable state, ties toward the lower state code."""
     return AolSequence(utterance_id, np.argmax(posteriors, axis=1))
@@ -71,20 +60,19 @@ def framewise_argmax(posteriors: np.ndarray, utterance_id: str = "") -> AolSeque
 
 def viterbi_decode(lattice: StateLattice, model: TransitionModel) -> AolSequence:
     """Most probable state sequence through the dynamic lattice."""
-    log_post, log_trans = _log_scores(lattice, model)
     t_max = lattice.n_frames
     if t_max == 1:
         return framewise_argmax(lattice.posteriors, lattice.utterance_id)
+    log_post = np.log(np.maximum(lattice.posteriors, PROB_FLOOR))
+    log_trans = np.log(np.maximum(transition_matrices(model, lattice.deltas), PROB_FLOOR))
+    states = np.arange(3)
     back = np.zeros((t_max, 3), dtype=int)
-    score = log_post[0].copy()
-    for t in range(1, t_max):
-        new_score = np.empty(3)
-        for j in range(3):
-            candidates = score + log_trans[t - 1][:, j]
-            best = int(np.argmax(candidates))  # first max = lowest state code
-            back[t, j] = best
-            new_score[j] = candidates[best] + log_post[t, j]
-        score = new_score
+    score = log_post[0]
+    for trans, post, best in zip(log_trans, log_post[1:], back[1:]):
+        # candidates[i, j]: the best score ending in state i, then the step i -> j
+        candidates = score[:, None] + trans
+        candidates.argmax(axis=0, out=best)  # first max = lowest state code
+        score = candidates[best, states] + post
     state = int(np.argmax(score))
     path = np.empty(t_max, dtype=int)
     path[-1] = state
@@ -92,28 +80,3 @@ def viterbi_decode(lattice: StateLattice, model: TransitionModel) -> AolSequence
         state = back[t, state]
         path[t - 1] = state
     return AolSequence(lattice.utterance_id, path)
-
-
-def brute_force_decode(lattice: StateLattice, model: TransitionModel) -> AolSequence:
-    """Exhaustive argmax over all 3^T sequences; the decoder's test oracle.
-
-    Scores accumulate in the same order as the Viterbi recursion so float
-    results are bit-identical, and the same tie rule applies: among equal
-    scores the sequence whose reversal is lexicographically smallest wins.
-    """
-    t_max = lattice.n_frames
-    if t_max > BRUTE_FORCE_LIMIT:
-        raise DataError(f"brute force refuses T > {BRUTE_FORCE_LIMIT} (3^T sequences)")
-    log_post, log_trans = _log_scores(lattice, model)
-    best_score = -np.inf
-    best_key = None
-    best_path = None
-    for path in itertools.product(range(3), repeat=t_max):
-        score = log_post[0, path[0]]
-        for t in range(1, t_max):
-            score = score + log_trans[t - 1][path[t - 1], path[t]]
-            score = score + log_post[t, path[t]]
-        key = path[::-1]
-        if score > best_score or (score == best_score and key < best_key):
-            best_score, best_key, best_path = score, key, path
-    return AolSequence(lattice.utterance_id, np.array(best_path))

@@ -157,6 +157,11 @@ def _gather_training_data(entries, labels):
                 f"{uid!r}: {features.n_frames} feature frames but "
                 f"{len(aol)} labels / {len(rol)} ranks"
             )
+        if frames and features.n_dims != frames[0].shape[1]:
+            raise DataError(
+                f"{uid!r} has {features.n_dims} features per frame but "
+                f"{entries[0].utterance_id!r} has {frames[0].shape[1]}"
+            )
         frames.append(features.frames)
         aols.append(aol)
         rols.append(rol)

@@ -156,17 +156,11 @@ def consensus_aol(per_annotator: list[AolSequence]) -> AolSequence:
         raise DataError(f"annotator sequences have mismatched lengths {sorted(lengths)}")
     stack = np.stack([s.labels for s in per_annotator])
     counts = _vote_counts(stack)
-    mean_code = stack.mean(axis=0)
-    out = np.empty(stack.shape[1], dtype=int)
-    for t in range(stack.shape[1]):
-        top = counts[t].max()
-        tied = np.flatnonzero(counts[t] == top)
-        if tied.size == 1:
-            out[t] = tied[0]
-            continue
-        dist = np.abs(tied - mean_code[t])
-        closest = tied[dist == dist.min()]
-        out[t] = closest[0] if closest.size == 1 else 1
+    tied = counts == counts.max(axis=1, keepdims=True)
+    # distance of each state code to the frame's mean code, among the tied codes only
+    dist = np.where(tied, np.abs(np.arange(3) - stack.mean(axis=0)[:, None]), np.inf)
+    closest = dist == dist.min(axis=1, keepdims=True)
+    out = np.where(closest.sum(axis=1) == 1, closest.argmax(axis=1), 1)
     return AolSequence(per_annotator[0].utterance_id, out)
 
 

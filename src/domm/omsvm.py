@@ -31,7 +31,6 @@ from domm.svm import (
 
 __all__ = [
     "OmsvmModel",
-    "predict_aols",
     "state_posteriors",
     "train_omsvm",
 ]
@@ -130,25 +129,11 @@ def train_omsvm(
     return OmsvmModel(stage_models=tuple(stages), direction=direction)
 
 
-def _stage_scores(model: OmsvmModel, features) -> tuple[np.ndarray, np.ndarray]:
-    (m1, _), (m2, _) = model.stage_models
-    return decision_values(m1, features), decision_values(m2, features)
-
-
-def predict_aols(model: OmsvmModel, features) -> np.ndarray:
-    """Sequential stage decisions; a stage score of exactly 0 defers to the next stage."""
-    s1, s2 = _stage_scores(model, features)
-    if model.direction == "forward":
-        return np.where(s1 > 0, AolState.LOW, np.where(s2 > 0, AolState.MEDIUM, AolState.HIGH))
-    return np.where(s1 > 0, AolState.HIGH, np.where(s2 > 0, AolState.MEDIUM, AolState.LOW))
-
-
 def state_posteriors(model: OmsvmModel, features) -> np.ndarray:
     """Calibrated per-frame distribution over the three states (rows sum to 1)."""
-    s1, s2 = _stage_scores(model, features)
-    (_, cal1), (_, cal2) = model.stage_models
-    p1 = platt_probability(cal1, s1)
-    p2 = platt_probability(cal2, s2)
+    (m1, cal1), (m2, cal2) = model.stage_models
+    p1 = platt_probability(cal1, decision_values(m1, features))
+    p2 = platt_probability(cal2, decision_values(m2, features))
     if model.direction == "forward":
         columns = [p1, (1.0 - p1) * p2, (1.0 - p1) * (1.0 - p2)]
     else:

@@ -28,7 +28,6 @@ __all__ = [
     "fit_transition_model",
     "kde_density",
     "silverman_bandwidth",
-    "transition_distribution",
     "transition_matrices",
 ]
 
@@ -213,8 +212,3 @@ def transition_matrices(model: TransitionModel, deltas) -> np.ndarray:
         for j in range(3):
             q[:, i, j] = kde_density(model.conditional_kdes[i][j], d) * model.prior[i, j]
     return q / q.sum(axis=2, keepdims=True)
-
-
-def transition_distribution(model: TransitionModel, prev: int, delta: float) -> np.ndarray:
-    """Distribution over current states given the previous state and rank difference."""
-    return transition_matrices(model, np.atleast_1d(float(delta)))[0, int(prev)]

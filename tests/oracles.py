@@ -1,0 +1,104 @@
+"""Reference implementations that the tests compare the pipeline against.
+
+Each one spells out its definition directly (exhaustive search, pair
+enumeration, whole matrices, per-frame loops), so it is slow but easy to
+check by reading. None of them runs in the pipeline.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+import numpy as np
+
+from domm.core import AolSequence, DataError, average_ranks
+from domm.decoder import PROB_FLOOR, StateLattice
+from domm.labels import DECREASE, INCREASE, TIE, UNDECIDED
+from domm.transitions import TransitionModel, transition_matrices
+
+BRUTE_FORCE_LIMIT = 12
+
+
+def brute_force_decode(lattice: StateLattice, model: TransitionModel) -> AolSequence:
+    """Exhaustive argmax over all 3^T sequences; the oracle for ``viterbi_decode``.
+
+    The log scores are floored as in the decoder, and they accumulate in the
+    same order as the Viterbi recursion, so float results are bit-identical.
+    The same tie rule applies: among equal scores the sequence whose reversal
+    is lexicographically smallest wins.
+    """
+    t_max = lattice.n_frames
+    if t_max > BRUTE_FORCE_LIMIT:
+        raise DataError(f"brute force refuses T > {BRUTE_FORCE_LIMIT} (3^T sequences)")
+    log_post = np.log(np.maximum(lattice.posteriors, PROB_FLOOR))
+    log_trans = np.log(np.maximum(transition_matrices(model, lattice.deltas), PROB_FLOOR))
+    best_score = -np.inf
+    best_key = None
+    best_path = None
+    for path in itertools.product(range(3), repeat=t_max):
+        score = log_post[0, path[0]]
+        for t in range(1, t_max):
+            score = score + log_trans[t - 1][path[t - 1], path[t]]
+            score = score + log_post[t, path[t]]
+        key = path[::-1]
+        if score > best_score or (score == best_score and key < best_key):
+            best_score, best_key, best_path = score, key, path
+    return AolSequence(lattice.utterance_id, np.array(best_path))
+
+
+def transition_distribution(model: TransitionModel, prev: int, delta: float) -> np.ndarray:
+    """Distribution over current states given the previous state and one rank difference."""
+    return transition_matrices(model, np.atleast_1d(float(delta)))[0, int(prev)]
+
+
+def dense_consensus_ranks(values, eps_tie=0.0):
+    """Copeland ranks of the whole-matrix consensus: int64 vote counts, argmax, majority test."""
+    values = np.asarray(values, dtype=float)
+    stack = []
+    for v in values:
+        diff = v[None, :] - v[:, None]
+        m = np.zeros(diff.shape, dtype=np.int8)
+        m[diff > eps_tie] = INCREASE
+        m[diff < -eps_tie] = DECREASE
+        stack.append(m)
+    stack = np.stack(stack)
+    codes = np.array([INCREASE, DECREASE, TIE])
+    counts = np.stack([(stack == c).sum(axis=0, dtype=np.int64) for c in codes])
+    consensus = np.where(counts.max(axis=0) > len(values) / 2.0, codes[counts.argmax(axis=0)], UNDECIDED)
+    scores = (consensus == INCREASE).sum(axis=0) - (consensus == DECREASE).sum(axis=0)
+    return average_ranks(scores)
+
+
+def tau_oracle(ra, rb):
+    """O(n^2) pair enumeration of (C - D) / (n(n-1)/2)."""
+    n = len(ra)
+    c = d = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            prod = (ra[i] - ra[j]) * (rb[i] - rb[j])
+            if prod > 0:
+                c += 1
+            elif prod < 0:
+                d += 1
+    return (c - d) / (n * (n - 1) / 2)
+
+
+def consensus_vote_loop(stack) -> np.ndarray:
+    """Per-frame majority vote over an (R, T) stack of state codes, one frame at a time.
+
+    Tied vote counts go to the tied code closest to the frame's mean code;
+    a tie in that distance goes to Medium.
+    """
+    stack = np.asarray(stack)
+    counts = np.stack([(stack == s).sum(axis=0) for s in range(3)], axis=1)
+    mean_code = stack.mean(axis=0)
+    out = np.empty(stack.shape[1], dtype=int)
+    for t in range(stack.shape[1]):
+        tied = np.flatnonzero(counts[t] == counts[t].max())
+        if tied.size == 1:
+            out[t] = tied[0]
+            continue
+        dist = np.abs(tied - mean_code[t])
+        closest = tied[dist == dist.min()]
+        out[t] = closest[0] if closest.size == 1 else 1
+    return out

@@ -250,6 +250,18 @@ class TestTrain:
         result = run_cli("train", "--manifest", manifest, "--labels", labels, "--out", tmp_path / "m")
         assert_exit_2(result, "'#frame_period_s=' must be a finite number")
 
+    def test_mixed_feature_widths_exit_2_naming_both(self, corpus_dir, tmp_path):
+        labels = convert(corpus_dir, tmp_path / "labels")
+
+        def drop_last_column(text):
+            lines = text.splitlines()
+            return "\n".join(x if x.startswith("#") else x.rsplit(",", 1)[0] for x in lines) + "\n"
+
+        manifest = with_edited_file(corpus_dir, tmp_path, "features", drop_last_column)
+        first, second = [u["utterance_id"] for u in json.loads(manifest.read_text())["utterances"][:2]]
+        result = run_cli("train", "--manifest", manifest, "--labels", labels, "--out", tmp_path / "m")
+        assert_exit_2(result, f"{second!r} has 6 features", f"{first!r} has 5")
+
     @pytest.mark.parametrize(
         "config",
         [
@@ -401,6 +413,12 @@ class TestDecode:
         )
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("command", ["decode", "eval"])
+    def test_seed_option_is_gone(self, command):
+        result = run_cli(command, "--seed", 1)
+        assert result.exit_code == 2
+        assert "No such option" in result.output and "--seed" in result.output
+
 
 class TestEval:
     def test_perfect_predictions_score_perfectly(self, tmp_path):
@@ -417,7 +435,7 @@ class TestEval:
         # use the truth files themselves as predictions
         result = run_cli(
             "eval", "--manifest", corpus / "manifest.json", "--pred", labels,
-            "--labels", labels, "--out", tmp_path / "report", "--seed", 9,
+            "--labels", labels, "--out", tmp_path / "report",
         )
         assert result.exit_code == 0, result.output
         report = json.loads((tmp_path / "report" / "report.json").read_text())
@@ -426,7 +444,6 @@ class TestEval:
         assert fold["kappa"] == 1.0
         assert fold["tau_mean"] == 1.0
         assert all(v == 1.0 for v in fold["p_at_k"].values())
-        assert report["seed"] == 9
         assert report["config_hash"]
         assert (tmp_path / "report" / "report.csv").exists()
 

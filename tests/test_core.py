@@ -119,6 +119,14 @@ def test_rol_sequence_rejects_non_ranking():
         RolSequence.from_ranks("u", [1.0, 1.0, 1.0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_rol_sequence_rejects_non_finite_ranks(bad):
+    with pytest.raises(DataError, match="non-finite"):
+        RolSequence.from_ranks("u", [1.0, bad, 3.0])
+    with pytest.raises(DataError, match="non-finite"):
+        RolSequence("u", np.array([1.0, 2.0, 3.0]), np.array([0.0, bad, 1.0]))
+
+
 def test_aol_sequence_rejects_bad_codes():
     with pytest.raises(DataError):
         AolSequence("u", np.array([0, 3]))
@@ -231,6 +239,18 @@ def test_load_manifest_duplicate_id(tmp_path):
     raw["utterances"][1]["utterance_id"] = "u0"
     path.write_text(json.dumps(raw))
     with pytest.raises(DataError, match="duplicate"):
+        load_manifest(path)
+
+
+@pytest.mark.parametrize("value_range", [[1.0, -1.0], [0.5, 0.5]])
+def test_load_manifest_rejects_inverted_value_range(tmp_path, value_range):
+    path = _write_minimal_manifest(tmp_path)
+    import json
+
+    raw = json.loads(path.read_text())
+    raw["value_range"] = value_range
+    path.write_text(json.dumps(raw))
+    with pytest.raises(DataError, match="value_range"):
         load_manifest(path)
 
 

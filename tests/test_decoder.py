@@ -3,8 +3,9 @@ import pytest
 from dataclasses import replace
 
 from domm.core import AolSequence, DataError, RolSequence
-from domm.decoder import StateLattice, brute_force_decode, framewise_argmax, viterbi_decode
+from domm.decoder import StateLattice, framewise_argmax, viterbi_decode
 from domm.transitions import fit_kde, fit_transition_model, transition_matrices
+from oracles import brute_force_decode
 
 L, M, H = 0, 1, 2
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from domm.core import AnnotationSet, AolSequence, DataError, average_ranks
+from domm.core import AnnotationSet, AolSequence, DataError
 from domm.labels import (
     BLOCK_ROWS,
     DECREASE,
@@ -24,6 +24,7 @@ from domm.labels import (
     ranks_from_consensus,
     sweep_thresholds,
 )
+from oracles import consensus_vote_loop, dense_consensus_ranks
 
 L, M, H = 0, 1, 2
 
@@ -34,24 +35,6 @@ def make_annotations(series_list, period=0.04, value_range=(-1.0, 1.0), uid="u")
 
 def aol(labels, uid="u"):
     return AolSequence(uid, np.asarray(labels))
-
-
-def dense_consensus_ranks(values, eps_tie=0.0):
-    """Copeland ranks of the whole-matrix consensus: int64 vote counts, argmax, majority test."""
-    values = np.asarray(values, dtype=float)
-    stack = []
-    for v in values:
-        diff = v[None, :] - v[:, None]
-        m = np.zeros(diff.shape, dtype=np.int8)
-        m[diff > eps_tie] = INCREASE
-        m[diff < -eps_tie] = DECREASE
-        stack.append(m)
-    stack = np.stack(stack)
-    codes = np.array([INCREASE, DECREASE, TIE])
-    counts = np.stack([(stack == c).sum(axis=0, dtype=np.int64) for c in codes])
-    consensus = np.where(counts.max(axis=0) > len(values) / 2.0, codes[counts.argmax(axis=0)], UNDECIDED)
-    scores = (consensus == INCREASE).sum(axis=0) - (consensus == DECREASE).sum(axis=0)
-    return average_ranks(scores)
 
 
 def tied_series(seed, n_annotators, n_frames, steps):
@@ -152,6 +135,21 @@ class TestConsensus:
     def test_length_mismatch(self):
         with pytest.raises(DataError, match="mismatch"):
             consensus_aol([aol([L, M]), aol([L])])
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        # even annotator counts make tied votes, and equidistant ties, common
+        n_annotators=st.sampled_from([1, 2, 3, 4, 6, 8]),
+        n_frames=st.integers(1, 200),
+        n_codes=st.integers(1, 3),
+        seed=st.integers(0, 2**16),
+    )
+    def test_equals_per_frame_vote_loop(self, n_annotators, n_frames, n_codes, seed):
+        rng = np.random.default_rng(seed)
+        codes = rng.permutation(3)[:n_codes]
+        stack = rng.choice(codes, size=(n_annotators, n_frames))
+        out = consensus_aol([aol(row) for row in stack]).labels
+        np.testing.assert_array_equal(out, consensus_vote_loop(stack))
 
 
 class TestBalanceAndAgreement:

@@ -15,6 +15,7 @@ from domm.metrics import (
     uar,
     weighted_kappa,
 )
+from oracles import tau_oracle
 
 L, M, H = 0, 1, 2
 
@@ -30,20 +31,6 @@ def kappa_oracle(truth, pred):
     observed = sum(KAPPA_WEIGHTS[i, j] * p[i, j] for i in range(3) for j in range(3))
     chance = sum(KAPPA_WEIGHTS[i, j] * pi[i] * qj[j] for i in range(3) for j in range(3))
     return (observed - chance) / (1.0 - chance)
-
-
-def tau_oracle(ra, rb):
-    """O(n^2) pair enumeration of (C - D) / (n(n-1)/2)."""
-    n = len(ra)
-    c = d = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            prod = (ra[i] - ra[j]) * (rb[i] - rb[j])
-            if prod > 0:
-                c += 1
-            elif prod < 0:
-                d += 1
-    return (c - d) / (n * (n - 1) / 2)
 
 
 class TestUar:

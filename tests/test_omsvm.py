@@ -3,7 +3,7 @@ import pytest
 
 from domm.core import AolState, DataError
 from domm.metrics import uar
-from domm.omsvm import OmsvmModel, predict_aols, state_posteriors, train_omsvm
+from domm.omsvm import OmsvmModel, state_posteriors, train_omsvm
 
 L, M, H = 0, 1, 2
 
@@ -24,7 +24,7 @@ class TestTrain:
         rng = np.random.default_rng(0)
         features, labels = three_clusters(rng)
         model = train_omsvm(features, labels, c=1e-2)
-        assert uar(labels, predict_aols(model, features)) == 100.0
+        assert uar(labels, state_posteriors(model, features).argmax(1)) == 100.0
 
     def test_missing_class_errors(self):
         rng = np.random.default_rng(1)
@@ -57,19 +57,9 @@ class TestPredict:
         rng = np.random.default_rng(4)
         features, labels = three_clusters(rng)
         model = train_omsvm(features, labels, c=1e-2)
-        assert predict_aols(model, [[-1.0]])[0] == AolState.LOW
-        assert predict_aols(model, [[0.0]])[0] == AolState.MEDIUM
-        assert predict_aols(model, [[1.0]])[0] == AolState.HIGH
-
-    def test_zero_stage_score_defers_to_next_stage(self):
-        from domm.svm import LinearModel, PlattCalibration
-
-        zero_stage = LinearModel(np.zeros(1), 0.0, np.zeros(1), np.ones(1))
-        medium_stage = LinearModel(np.ones(1), 0.5, np.zeros(1), np.ones(1))
-        cal = PlattCalibration(-1.0, 0.0)
-        model = OmsvmModel(((zero_stage, cal), (medium_stage, cal)), "forward")
-        # stage 1 scores exactly 0 -> not LOW; stage 2 score 0.5 > 0 -> MEDIUM
-        assert predict_aols(model, [[0.0]])[0] == AolState.MEDIUM
+        assert state_posteriors(model, [[-1.0]]).argmax(1)[0] == AolState.LOW
+        assert state_posteriors(model, [[0.0]]).argmax(1)[0] == AolState.MEDIUM
+        assert state_posteriors(model, [[1.0]]).argmax(1)[0] == AolState.HIGH
 
 
 class TestPosteriors:
@@ -106,17 +96,6 @@ class TestPosteriors:
         assert np.all(post >= 0) and np.all(post <= 1)
         np.testing.assert_allclose(post.sum(axis=1), 1.0, atol=1e-9)
 
-    def test_argmax_consistent_with_sequential_prediction(self):
-        rng = np.random.default_rng(6)
-        features, labels = three_clusters(rng, spread=0.05)
-        model = train_omsvm(features, labels, c=1e-2)
-        held_out, _ = three_clusters(np.random.default_rng(7), n_per=100, spread=0.05)
-        agree = np.mean(
-            np.argmax(state_posteriors(model, held_out), axis=1)
-            == predict_aols(model, held_out)
-        )
-        assert agree >= 0.99
-
     def test_posterior_monotone_in_stage1_score(self):
         rng = np.random.default_rng(8)
         features, labels = three_clusters(rng, spread=0.3)
@@ -134,7 +113,6 @@ class TestPosteriors:
         model = train_omsvm(features, labels, direction="backward", c=1e-2)
         post = state_posteriors(model, np.array([[-1.0], [0.0], [1.0]]))
         np.testing.assert_array_equal(np.argmax(post, axis=1), [L, M, H])
-        np.testing.assert_array_equal(predict_aols(model, np.array([[-1.0], [0.0], [1.0]])), [L, M, H])
 
     def test_round_trip_serialization(self):
         rng = np.random.default_rng(10)

@@ -9,9 +9,9 @@ from domm.transitions import (
     fit_transition_model,
     kde_density,
     silverman_bandwidth,
-    transition_distribution,
     transition_matrices,
 )
+from oracles import transition_distribution
 
 L, M, H = 0, 1, 2
 
