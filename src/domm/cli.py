@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Every command writes its outputs below ``--out`` together with a
-``run.json`` provenance record (tool version, resolved config, config hash,
-seed, input paths). Outputs are canonical: rerunning a command with the
-same inputs, config, and seed reproduces every file byte for byte.
+``run.json`` provenance record: the command, the tool version, every option
+of the command except ``--out``, and any resolved config with its hash and
+seed. Outputs are canonical: rerunning a command with the same inputs,
+config, and seed reproduces every file byte for byte.
 
 Exit codes: 0 success, 1 internal error, 2 user/input error.
 """
@@ -39,6 +40,7 @@ from domm.experiment import (
     decode_entries,
     evaluate_fold,
     fit_bundle,
+    load_features,
     load_labels_dir,
     make_report,
     run_xval,
@@ -71,11 +73,13 @@ def _load_config(cls, config_path, **overrides):
     return replace(config, **{key: value for key, value in overrides.items() if value is not None})
 
 
-def _write_run_record(out_dir: Path, command: str, config, inputs: dict) -> None:
+def _write_run_record(out_dir: Path, config=None) -> None:
+    """Write ``run.json``: the command, its options except ``--out``, and the resolved config."""
+    ctx = click.get_current_context()
     record = {
-        "command": command,
+        "command": ctx.info_name,
         "tool_version": __version__,
-        "inputs": inputs,
+        "inputs": {key: value for key, value in ctx.params.items() if key != "out_dir"},
     }
     if config is not None:
         record["config"] = config.to_dict()
@@ -106,9 +110,7 @@ def convert(manifest_path, out_dir, split, eps_tie):
         aol, rol = labels[uid]
         write_aol_csv(aol, out / f"{uid}.aol.csv")
         write_rol_csv(rol, out / f"{uid}.rol.csv")
-    _write_run_record(
-        out, "convert", None, {"manifest": str(manifest_path), "split": split, "eps_tie": eps_tie}
-    )
+    _write_run_record(out)
     click.echo(f"converted {len(labels)} utterances -> {out}")
 
 
@@ -153,20 +155,7 @@ def sweep(manifest_path, out_dir, theta2_min, theta2_max, theta2_step, theta_sum
         ["theta2", "gamma_mean", "agreement"],
         [(r.theta2, r.gamma_mean, r.agreement) for r in rows],
     )
-    _write_run_record(
-        out,
-        "sweep",
-        None,
-        {
-            "manifest": str(manifest_path),
-            "split": split,
-            "theta2_min": theta2_min,
-            "theta2_max": theta2_max,
-            "theta2_step": theta2_step,
-            "theta_sum": theta_sum,
-            "boundary_mode": boundary_mode,
-        },
-    )
+    _write_run_record(out)
     click.echo(f"swept {len(rows)} configurations -> {out / 'sweep.csv'}")
 
 
@@ -185,7 +174,7 @@ def synth(out_dir, config_path, seed, utterances, frames, theta):
     )
     corpus = generate_corpus(cfg)
     manifest_path = write_corpus(corpus, out_dir, thresholds=(-theta, theta))
-    _write_run_record(Path(out_dir), "synth", None, {"synth_config": cfg.to_dict(), "theta": theta})
+    _write_run_record(Path(out_dir), cfg)
     click.echo(f"wrote corpus manifest {manifest_path}")
 
 
@@ -204,16 +193,11 @@ def train(manifest_path, labels_dir, out_dir, config_path, seed, variant, split)
     config = _load_config(ExperimentConfig, config_path, seed=seed, variant=variant)
     entries = manifest.split_entries(split)
     labels = load_labels_dir(labels_dir, entries)
-    bundle = fit_bundle(entries, labels, config)
+    bundle = fit_bundle(load_features(entries), labels, config)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_model_bundle(bundle, out / "model.json")
-    _write_run_record(
-        out,
-        "train",
-        config,
-        {"manifest": str(manifest_path), "labels": str(labels_dir), "split": split},
-    )
+    _write_run_record(out, config)
     click.echo(f"trained {config.variant} bundle -> {out / 'model.json'}")
 
 
@@ -239,17 +223,7 @@ def decode(bundle_path, manifest_path, out_dir, labels_dir, config_path, split):
         write_aol_csv(pred_aols[uid], out / f"{uid}.aol.csv")
     for uid in sorted(pred_rols):
         write_rol_csv(pred_rols[uid], out / f"{uid}.rol.csv")
-    _write_run_record(
-        out,
-        "decode",
-        config,
-        {
-            "bundle": str(bundle_path),
-            "manifest": str(manifest_path),
-            "labels": str(labels_dir) if labels_dir else None,
-            "split": split,
-        },
-    )
+    _write_run_record(out, config)
     click.echo(f"decoded {len(pred_aols)} utterances -> {out}")
 
 
@@ -283,17 +257,7 @@ def eval_cmd(manifest_path, pred_dir, labels_dir, out_dir, split, config_path):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_report(report, out)
-    _write_run_record(
-        out,
-        "eval",
-        config,
-        {
-            "manifest": str(manifest_path),
-            "pred": str(pred_dir),
-            "labels": str(labels_dir),
-            "split": split,
-        },
-    )
+    _write_run_record(out, config)
     click.echo(
         f"uar={fold['uar']:.2f} kappa={fold['kappa']:.4f} "
         f"tau={fold['tau_mean'] if fold['tau_mean'] is not None else 'n/a'} -> {out / 'report.json'}"
@@ -315,7 +279,7 @@ def xval(manifest_path, out_dir, config_path, seed, variant):
     out.mkdir(parents=True, exist_ok=True)
     report = run_xval(manifest, config, out)
     write_report(report, out)
-    _write_run_record(out, "xval", config, {"manifest": str(manifest_path)})
+    _write_run_record(out, config)
     agg = report["aggregate"]
     summary = ", ".join(
         f"{key}={agg[key]['mean']:.3f}+-{agg[key]['std']:.3f}"

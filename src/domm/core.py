@@ -9,6 +9,7 @@ objects always produce identical bytes.
 from __future__ import annotations
 
 import functools
+import hashlib
 import json
 import math
 import numbers
@@ -26,6 +27,7 @@ __all__ = [
     "DataError",
     "DatasetManifest",
     "ManifestEntry",
+    "MissingClassError",
     "Preprocessing",
     "RolSequence",
     "UtteranceFeatures",
@@ -49,6 +51,10 @@ __all__ = [
 
 class DataError(Exception):
     """Malformed input file, config, or inconsistent dataset."""
+
+
+class MissingClassError(DataError):
+    """A fit or a metric needs all three states, and its labels lack one."""
 
 
 def checked_from_dict(from_dict):
@@ -82,6 +88,9 @@ class Config:
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+    def config_hash(self) -> str:
+        return hashlib.sha256(canonical_json(self.to_dict()).encode("ascii")).hexdigest()[:16]
 
     @classmethod
     def from_dict(cls, d):
@@ -117,10 +126,6 @@ class UtteranceFeatures:
             raise DataError(f"{self.utterance_id}: feature matrix contains non-finite values")
         if self.frame_period_s is not None and not self.frame_period_s > 0:
             raise DataError(f"{self.utterance_id}: frame_period_s must be positive")
-
-    @property
-    def n_frames(self) -> int:
-        return self.frames.shape[0]
 
     @property
     def n_dims(self) -> int:

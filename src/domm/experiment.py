@@ -10,6 +10,11 @@ Three system variants share one pipeline:
   computed from the ground-truth rank files at decode time, bounding what
   the rank-informed decoder could achieve.
 
+File I/O stays at the edges: ``load_features`` is the pipeline's one reader
+of feature CSVs, and ``fit_bundle`` and ``decode_features`` take its
+utterance-id -> frames mapping and read no files. ``run_xval`` loads and
+checks every utterance once, before the first fold.
+
 All randomness derives from the experiment seed (per-fold seeds are split
 deterministically from it), so reports and bundles are reproducible byte
 for byte and independent of fold execution order.
@@ -30,8 +35,8 @@ from domm.core import (
     Config,
     DataError,
     DatasetManifest,
+    MissingClassError,
     RolSequence,
-    canonical_json,
     format_float,
     is_positive,
     parse_annotations,
@@ -55,9 +60,11 @@ __all__ = [
     "ExperimentConfig",
     "convert_labels",
     "decode_entries",
+    "decode_features",
     "evaluate_fold",
     "fit_bundle",
     "fold_seed",
+    "load_features",
     "make_report",
     "run_xval",
     "write_report",
@@ -96,9 +103,6 @@ class ExperimentConfig(Config):
             ("eps_tie", is_positive(self.eps_tie, or_zero=True), "a number >= 0"),
             ("seed", is_positive(self.seed, integral=True, or_zero=True), "an integer >= 0"),
         )
-
-    def config_hash(self) -> str:
-        return hashlib.sha256(canonical_json(self.to_dict()).encode("ascii")).hexdigest()[:16]
 
 
 def fold_seed(root_seed: int, fold: str) -> int:
@@ -144,28 +148,35 @@ def load_labels_dir(labels_dir, entries) -> dict[str, tuple[AolSequence, RolSequ
     return out
 
 
-def _gather_training_data(entries, labels):
-    frames, aols, rols = [], [], []
+def load_features(entries) -> dict[str, np.ndarray]:
+    """Each entry's T x D feature frames keyed by utterance id, in entry order.
+
+    Every utterance must have as many features per frame as the first.
+    """
+    features: dict[str, np.ndarray] = {}
     for entry in entries:
-        uid = entry.utterance_id
+        frames = parse_features(entry.features_path).frames
+        if not features:
+            first, width = entry.utterance_id, frames.shape[1]
+        elif frames.shape[1] != width:
+            raise DataError(
+                f"{entry.utterance_id!r} has {frames.shape[1]} features per frame but "
+                f"{first!r} has {width}"
+            )
+        features[entry.utterance_id] = frames
+    return features
+
+
+def _check_frame_counts(features, labels) -> None:
+    """Every utterance needs one label and one rank per feature frame."""
+    for uid, frames in features.items():
         if uid not in labels:
-            raise DataError(f"no converted labels for training utterance {uid!r}")
-        features = parse_features(entry.features_path)
+            raise DataError(f"no converted labels for utterance {uid!r}")
         aol, rol = labels[uid]
-        if features.n_frames != len(aol) or features.n_frames != len(rol):
+        if not len(frames) == len(aol) == len(rol):
             raise DataError(
-                f"{uid!r}: {features.n_frames} feature frames but "
-                f"{len(aol)} labels / {len(rol)} ranks"
+                f"{uid!r}: {len(frames)} feature frames but {len(aol)} labels / {len(rol)} ranks"
             )
-        if frames and features.n_dims != frames[0].shape[1]:
-            raise DataError(
-                f"{uid!r} has {features.n_dims} features per frame but "
-                f"{entries[0].utterance_id!r} has {frames[0].shape[1]}"
-            )
-        frames.append(features.frames)
-        aols.append(aol)
-        rols.append(rol)
-    return np.vstack(frames), aols, rols
 
 
 # ---------------------------------------------------------------------------
@@ -173,11 +184,14 @@ def _gather_training_data(entries, labels):
 # ---------------------------------------------------------------------------
 
 
-def fit_bundle(entries, labels, config: ExperimentConfig) -> ModelBundle:
-    """Train the variant's components on the given utterances."""
-    if not entries:
+def fit_bundle(features, labels, config: ExperimentConfig) -> ModelBundle:
+    """Train the variant's components on the given utterances' frames and labels."""
+    if not features:
         raise DataError("empty training split")
-    x, aols, rols = _gather_training_data(entries, labels)
+    _check_frame_counts(features, labels)
+    x = np.vstack(list(features.values()))
+    aols = [labels[uid][0] for uid in features]
+    rols = [labels[uid][1] for uid in features]
     label_vec = np.concatenate([a.labels for a in aols])
     standardization = fit_standardization(x)
     omsvm = train_omsvm(
@@ -220,29 +234,27 @@ def _adjusted_posteriors(bundle: ModelBundle, frames, divide_by_prior: bool) -> 
     return post
 
 
-def decode_entries(
+def decode_features(
     bundle: ModelBundle,
-    entries,
+    features,
     config: ExperimentConfig,
     truth_labels=None,
 ) -> tuple[dict[str, AolSequence], dict[str, RolSequence]]:
-    """Decode each utterance; the bundle's components select the variant.
+    """Decode each utterance's frames; the bundle's components select the variant.
 
     Without a transition model decoding is the framewise posterior argmax.
     With one, rank differences come from the ranker when present, otherwise
     from ``truth_labels`` (the upper-bound variant).
     """
-    if not entries:
+    if not features:
         raise DataError("empty decode split")
     pred_aols: dict[str, AolSequence] = {}
     pred_rols: dict[str, RolSequence] = {}
-    for entry in entries:
-        uid = entry.utterance_id
-        features = parse_features(entry.features_path)
-        post = _adjusted_posteriors(bundle, features.frames, config.divide_by_prior)
+    for uid, frames in features.items():
+        post = _adjusted_posteriors(bundle, frames, config.divide_by_prior)
         rol = None
         if bundle.ranker is not None:
-            rol = ranks_from_scores(decision_values(bundle.ranker, features.frames), uid)
+            rol = ranks_from_scores(decision_values(bundle.ranker, frames), uid)
             pred_rols[uid] = rol
         if bundle.transitions is None:
             pred_aols[uid] = framewise_argmax(post, uid)
@@ -253,14 +265,17 @@ def decode_entries(
                     f"decoding {uid!r} needs ground-truth ranks but none were supplied"
                 )
             rol = truth_labels[uid][1]
-            if len(rol) != features.n_frames:
-                raise DataError(
-                    f"{uid!r}: {features.n_frames} feature frames but {len(rol)} truth ranks"
-                )
+            if len(rol) != len(frames):
+                raise DataError(f"{uid!r}: {len(frames)} feature frames but {len(rol)} truth ranks")
         values = rol.normalized if bundle.transitions.use_normalized_ranks else rol.ranks
         lattice = StateLattice(uid, post, np.diff(values))
         pred_aols[uid] = viterbi_decode(lattice, bundle.transitions)
     return pred_aols, pred_rols
+
+
+def decode_entries(bundle: ModelBundle, entries, config: ExperimentConfig, truth_labels=None):
+    """``decode_features`` on the manifest entries' feature files."""
+    return decode_features(bundle, load_features(entries), config, truth_labels)
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +307,8 @@ def evaluate_fold(
         truth_vec.append(truth_aol.labels)
         pred_vec.append(pred.labels)
         row = {"utterance_id": uid}
-        if uid in pred_rols:
+        # rank metrics need at least two frames
+        if uid in pred_rols and len(pred) > 1:
             rol = pred_rols[uid]
             row["tau"] = kendall_tau(truth_rol, rol)
             row["p_at_k"] = {str(k): precision_at_k(truth_rol, rol, k) for k in EVAL_KS}
@@ -390,23 +406,28 @@ def run_xval(
     """Leave-one-fold-out over the manifest's split tags.
 
     Conversion is per-utterance (no cross-utterance fitting), so labels are
-    converted once; every model parameter is fit on the training folds only.
-    A fold whose training data misses a class is reported as skipped.
+    converted and features loaded once, and a bad feature file, mixed widths
+    or a frame-count mismatch raises before the first fold; every model
+    parameter is fit on the training folds only.
+    A fold whose training or test labels miss a class, or whose kappa
+    marginals are degenerate, is reported as skipped.
     """
     folds = manifest.split_tags()
     if len(folds) < 2:
         raise DataError("cross-validation needs at least two fold tags")
     labels = convert_labels(manifest, "all", eps_tie=config.eps_tie)
+    features = load_features(manifest.utterances)
+    _check_frame_counts(features, labels)
     results = []
     for fold in folds:
-        test_entries = manifest.split_entries(fold)
-        train_entries = [u for u in manifest.utterances if u.split != fold]
+        train = {u.utterance_id: features[u.utterance_id] for u in manifest.utterances if u.split != fold}
+        test = {u.utterance_id: features[u.utterance_id] for u in manifest.utterances if u.split == fold}
         cfg = replace(config, seed=fold_seed(config.seed, fold))
         try:
-            bundle = fit_bundle(train_entries, labels, cfg)
-            pred_aols, pred_rols = decode_entries(bundle, test_entries, cfg, labels)
+            bundle = fit_bundle(train, labels, cfg)
+            pred_aols, pred_rols = decode_features(bundle, test, cfg, labels)
             result = evaluate_fold(fold, pred_aols, pred_rols, labels)
-        except (DataError, DegenerateMarginalsError) as exc:
+        except (MissingClassError, DegenerateMarginalsError) as exc:
             results.append({"fold": fold, "skipped": True, "reason": str(exc)})
             continue
         if out_dir is not None:

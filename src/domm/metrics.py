@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from domm.core import DataError
+from domm.core import DataError, MissingClassError
 
 __all__ = [
     "DegenerateMarginalsError",
@@ -51,7 +51,7 @@ def uar(truth, pred) -> float:
     per_class_total = counts.sum(axis=1)
     if np.any(per_class_total == 0):
         missing = [s for s in range(3) if per_class_total[s] == 0]
-        raise DataError(f"recall undefined: truth contains no frames of class {missing}")
+        raise MissingClassError(f"recall undefined: truth contains no frames of class {missing}")
     recalls = np.diag(counts) / per_class_total
     return float(recalls.mean() * 100.0)
 

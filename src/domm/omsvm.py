@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from domm.core import AolState, DataError, checked_from_dict
+from domm.core import AolState, DataError, MissingClassError, checked_from_dict
 from domm.svm import (
     LinearModel,
     PlattCalibration,
@@ -110,7 +110,7 @@ def train_omsvm(
         raise DataError(f"unknown direction {direction!r}")
     present = set(np.unique(y))
     if present != {0, 1, 2}:
-        raise DataError(f"training data must contain all three states, found {sorted(present)}")
+        raise MissingClassError(f"training data must contain all three states, found {sorted(present)}")
     if standardization is None:
         standardization = fit_standardization(x)
 

@@ -25,6 +25,7 @@ from domm.experiment import (
     evaluate_fold,
     fit_bundle,
     fold_seed,
+    load_features,
 )
 from domm.labels import (
     ThresholdConfig,
@@ -86,7 +87,7 @@ def noisy_corpus_config(seed):
 
 def run_pipeline(manifest, labels, variant, seed):
     config = ExperimentConfig(variant=variant, rank_c=1.0, seed=seed)
-    bundle = fit_bundle(manifest.split_entries("train"), labels, config)
+    bundle = fit_bundle(load_features(manifest.split_entries("train")), labels, config)
     preds, pred_rols = decode_entries(bundle, manifest.split_entries("test"), config, labels)
     return evaluate_fold("test", preds, pred_rols, labels)
 

@@ -78,6 +78,52 @@ def convert(corpus_dir, out):
     return out
 
 
+def csv_parts(text) -> tuple[list[str], list[str]]:
+    """The ``#`` metadata lines and the other lines (header, then rows) of a CSV."""
+    lines = text.splitlines()
+    return [x for x in lines if x.startswith("#")], [x for x in lines if not x.startswith("#")]
+
+
+def without_last_column(text):
+    meta, body = csv_parts(text)
+    return "\n".join(meta + [x.rsplit(",", 1)[0] for x in body]) + "\n"
+
+
+def without_last_row(text):
+    meta, body = csv_parts(text)
+    return "\n".join(meta + body[:-1]) + "\n"
+
+
+def first_row_only(text):
+    meta, body = csv_parts(text)
+    return "\n".join(meta + body[:2]) + "\n"
+
+
+def first_cell_to_abc(text):
+    meta, body = csv_parts(text)
+    body[1] = "abc," + body[1].split(",", 1)[1]
+    return "\n".join(meta + body) + "\n"
+
+
+@pytest.fixture
+def parsed_files(monkeypatch):
+    """Names of the feature files the pipeline parses, one per call."""
+    import domm.experiment
+
+    names = []
+
+    def counting(path):
+        names.append(Path(path).name)
+        return parse_features(path)
+
+    monkeypatch.setattr(domm.experiment, "parse_features", counting)
+    return names
+
+
+def split_files(corpus_dir, split):
+    return sorted(e.features_path.name for e in load_manifest(corpus_dir / "manifest.json").split_entries(split))
+
+
 class TestConvert:
     def test_writes_label_files_per_utterance(self, corpus_dir, tmp_path):
         out = convert(corpus_dir, tmp_path / "labels")
@@ -262,6 +308,14 @@ class TestTrain:
         result = run_cli("train", "--manifest", manifest, "--labels", labels, "--out", tmp_path / "m")
         assert_exit_2(result, f"{second!r} has 6 features", f"{first!r} has 5")
 
+    def test_parses_each_training_feature_file_once(self, corpus_dir, tmp_path, parsed_files):
+        labels = convert(corpus_dir, tmp_path / "labels")
+        result = run_cli(
+            "train", "--manifest", corpus_dir / "manifest.json", "--labels", labels, "--out", tmp_path / "m"
+        )
+        assert result.exit_code == 0, result.output
+        assert sorted(parsed_files) == split_files(corpus_dir, "train")
+
     @pytest.mark.parametrize(
         "config",
         [
@@ -413,6 +467,18 @@ class TestDecode:
         )
         assert result.exit_code == 2
 
+    def test_parses_each_test_feature_file_once(self, corpus_dir, tmp_path, parsed_files):
+        labels = convert(corpus_dir, tmp_path / "labels")
+        train_out = tmp_path / "train"
+        run_cli("train", "--manifest", corpus_dir / "manifest.json", "--labels", labels, "--out", train_out)
+        parsed_files.clear()
+        result = run_cli(
+            "decode", "--bundle", train_out / "model.json",
+            "--manifest", corpus_dir / "manifest.json", "--out", tmp_path / "pred",
+        )
+        assert result.exit_code == 0, result.output
+        assert sorted(parsed_files) == split_files(corpus_dir, "test")
+
     @pytest.mark.parametrize("command", ["decode", "eval"])
     def test_seed_option_is_gone(self, command):
         result = run_cli(command, "--seed", 1)
@@ -446,6 +512,32 @@ class TestEval:
         assert all(v == 1.0 for v in fold["p_at_k"].values())
         assert report["config_hash"]
         assert (tmp_path / "report" / "report.csv").exists()
+
+    def test_one_frame_utterance_gets_no_rank_metrics(self, corpus_dir, tmp_path):
+        manifest = relocatable_manifest(corpus_dir)
+        entry = manifest["utterances"][-1]
+        for key in ("features", "annotations"):
+            short = tmp_path / f"{key}.csv"
+            short.write_text(first_row_only(Path(entry[key]).read_text()))
+            entry[key] = str(short)
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        labels = convert(tmp_path, tmp_path / "labels")
+        run_cli("train", "--manifest", path, "--labels", labels, "--out", tmp_path / "train")
+        run_cli(
+            "decode", "--bundle", tmp_path / "train" / "model.json", "--manifest", path,
+            "--out", tmp_path / "pred",
+        )
+        result = run_cli(
+            "eval", "--manifest", path, "--pred", tmp_path / "pred", "--labels", labels,
+            "--out", tmp_path / "report",
+        )
+        assert result.exit_code == 0, result.output
+        [fold] = json.loads((tmp_path / "report" / "report.json").read_text())["folds"]
+        rows = {row["utterance_id"]: row for row in fold["per_utterance"]}
+        assert rows.pop(entry["utterance_id"]) == {"utterance_id": entry["utterance_id"]}
+        assert len(rows) == 2 and all("tau" in row for row in rows.values())
+        assert fold["tau_mean"] == np.mean([row["tau"] for row in rows.values()])
 
     def test_missing_prediction_exits_2(self, corpus_dir, tmp_path):
         labels = convert(corpus_dir, tmp_path / "labels")
@@ -516,6 +608,25 @@ class TestXval:
         assert by_fold["f_c"]["skipped"] and "class" in by_fold["f_c"]["reason"]
         assert not by_fold["f_a"]["skipped"]
         assert report["aggregate"]["n_skipped"] == 1
+
+    def test_parses_each_feature_file_once(self, corpus_dir, tmp_path, parsed_files):
+        result = run_cli("xval", "--manifest", corpus_dir / "manifest.json", "--out", tmp_path / "x")
+        assert result.exit_code == 0, result.output
+        assert sorted(parsed_files) == split_files(corpus_dir, "all")
+
+    @pytest.mark.parametrize(
+        "edit, fragment",
+        [
+            (first_cell_to_abc, "utt_000.csv: non-numeric value 'abc' at row 1"),
+            (without_last_column, "'utt_001' has 6 features per frame but 'utt_000' has 5"),
+            (without_last_row, "'utt_000': 89 feature frames but 90 labels"),
+        ],
+        ids=["non-numeric-cell", "mixed-widths", "frame-count-mismatch"],
+    )
+    def test_bad_features_exit_2(self, corpus_dir, tmp_path, edit, fragment):
+        manifest = with_edited_file(corpus_dir, tmp_path, "features", edit)
+        result = run_cli("xval", "--manifest", manifest, "--out", tmp_path / "out")
+        assert_exit_2(result, fragment)
 
     def test_duplicate_utterance_id_fails_before_training(self, corpus_dir, tmp_path):
         manifest = json.loads((corpus_dir / "manifest.json").read_text())

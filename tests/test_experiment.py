@@ -1,9 +1,23 @@
 import numpy as np
+import pytest
 
+from domm import experiment
 from domm.bundle import ModelBundle
-from domm.experiment import _adjusted_posteriors
+from domm.core import AolSequence, RolSequence, load_manifest
+from domm.experiment import (
+    VARIANTS,
+    ExperimentConfig,
+    _adjusted_posteriors,
+    convert_labels,
+    decode_features,
+    evaluate_fold,
+    fit_bundle,
+    load_features,
+)
+from domm.metrics import kendall_tau
 from domm.omsvm import OmsvmModel, state_posteriors
 from domm.svm import LinearModel, PlattCalibration
+from domm.synth import SynthConfig, generate_corpus, write_corpus
 
 
 def test_divide_by_prior_is_posterior_over_training_prior_renormalized():
@@ -25,3 +39,45 @@ def test_divide_by_prior_is_posterior_over_training_prior_renormalized():
     np.testing.assert_allclose(adjusted.sum(axis=1), 1.0, rtol=1e-12)
     # the rescaling moves frames away from the majority class
     assert np.sum(adjusted.argmax(axis=1) == 0) < np.sum(post.argmax(axis=1) == 0)
+
+
+def test_one_frame_utterance_is_left_out_of_rank_metrics():
+    truth = {
+        "long": (AolSequence("long", np.array([0, 1, 2, 1])), RolSequence.from_ranks("long", [1, 2, 4, 3])),
+        "one": (AolSequence("one", np.array([2])), RolSequence.from_ranks("one", [1])),
+    }
+    pred_aols = {uid: aol for uid, (aol, _) in truth.items()}
+    pred_rols = {"long": RolSequence.from_ranks("long", [1, 3, 4, 2]), "one": truth["one"][1]}
+    fold = evaluate_fold("f", pred_aols, pred_rols, truth)
+    long_row, one_row = fold["per_utterance"]
+    assert one_row == {"utterance_id": "one"}
+    assert fold["tau_mean"] == long_row["tau"] == kendall_tau(truth["long"][1], pred_rols["long"])
+    assert fold["p_at_k"] == long_row["p_at_k"]
+
+
+@pytest.fixture(scope="module")
+def corpus(tmp_path_factory):
+    """A small synthetic corpus: its manifest, converted labels and loaded features."""
+    root = tmp_path_factory.mktemp("corpus")
+    cfg = SynthConfig(n_utterances=6, frames_per_utterance=80, feature_dim=3, n_annotators=3, seed=7)
+    manifest = load_manifest(write_corpus(generate_corpus(cfg), root))
+    return manifest, convert_labels(manifest), load_features(manifest.utterances)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_fit_and_decode_read_no_files(corpus, monkeypatch, variant):
+    manifest, labels, features = corpus
+    split = {u.utterance_id: u.split for u in manifest.utterances}
+    train = {uid: f for uid, f in features.items() if split[uid] == "train"}
+    test = {uid: f for uid, f in features.items() if split[uid] == "test"}
+
+    def no_parsing(path):
+        raise AssertionError(f"parsed {path}")
+
+    monkeypatch.setattr(experiment, "parse_features", no_parsing)
+    config = ExperimentConfig(variant=variant, svm_c=1.0, rank_c=1.0)
+    bundle = fit_bundle(train, labels, config)
+    pred_aols, pred_rols = decode_features(bundle, test, config, labels)
+    assert list(pred_aols) == list(test)
+    assert [len(a) for a in pred_aols.values()] == [len(f) for f in test.values()]
+    assert bool(pred_rols) == (variant == "domm-rs")

@@ -46,3 +46,21 @@ def readme_entry_point_imports() -> list[str]:
 @pytest.mark.parametrize("line", readme_entry_point_imports())
 def test_readme_entry_point_imports_resolve(line):
     exec(line, {})
+
+
+def bound_names(tree: ast.Module) -> set[str]:
+    """Every name a module defines, imports, reads or reads as an attribute."""
+    return {
+        value
+        for node in ast.walk(tree)
+        for value in (getattr(node, field, None) for field in ("name", "id", "attr"))
+        if isinstance(value, str)
+    }
+
+
+def test_feature_files_are_parsed_only_through_load_features():
+    """``core`` defines the reader, ``experiment.load_features`` is its one caller, ``__init__`` re-exports it."""
+    binders = sorted(
+        path.stem for path in PACKAGE.glob("*.py") if "parse_features" in bound_names(ast.parse(path.read_text()))
+    )
+    assert binders == ["__init__", "core", "experiment"]
