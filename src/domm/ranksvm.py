@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from domm.core import DataError, RolSequence, average_ranks
+from domm.labels import BLOCK_ROWS
 from domm.svm import LinearModel, fit_standardization, newton_squared_hinge
 
 __all__ = [
@@ -28,32 +29,53 @@ __all__ = [
 DEFAULT_PAIR_CAP = 200_000
 
 
+def _ordered_blocks(rols: list[RolSequence]):
+    """Yield (offset, swap, lo, mask) for each row block of each strict pair kind.
+
+    Per utterance the pairs with ``r_i > r_j`` come first, then those with
+    ``r_i < r_j``; within a kind, ``np.flatnonzero`` of the blocks' masks
+    walks the upper triangle row-major. ``swap`` marks the kind whose
+    preferred frame is the column.
+    """
+    offset = 0
+    for rol in rols:
+        ranks = rol.ranks
+        cols = np.arange(ranks.size)
+        for prefer, swap in ((np.greater, False), (np.less, True)):
+            for lo in range(0, ranks.size, BLOCK_ROWS):
+                rows = cols[lo : lo + BLOCK_ROWS]
+                yield offset, swap, lo, (cols > rows[:, None]) & prefer(ranks[rows, None], ranks)
+        offset += ranks.size
+
+
 def build_pairs(rols: list[RolSequence], cap: int = DEFAULT_PAIR_CAP, seed: int = 0) -> np.ndarray:
     """All strict (preferred, other) frame-index pairs, subsampled to ``cap``.
 
     Indices address the rows of the feature matrix formed by stacking the
-    utterances in the given order. When the full enumeration exceeds ``cap``
-    a uniform subsample is drawn with the seeded generator, so the result is
-    deterministic for a fixed seed.
+    utterances in the given order. When the pair count exceeds ``cap`` a
+    uniform subsample of pair indices is drawn from the count alone with the
+    seeded generator, so the result is deterministic for a fixed seed. The
+    pairs are counted, then only the kept ones enumerated, ``BLOCK_ROWS``
+    rows of one utterance at a time: working memory is O(BLOCK_ROWS * T)
+    plus the kept pairs.
     """
     if cap < 1:
         raise DataError("pair cap must be at least 1")
-    chunks = []
-    offset = 0
-    for rol in rols:
-        ranks = rol.ranks
-        i, j = np.triu_indices(ranks.size, k=1)
-        greater = ranks[i] > ranks[j]
-        less = ranks[i] < ranks[j]
-        preferred = np.concatenate([i[greater], j[less]]) + offset
-        other = np.concatenate([j[greater], i[less]]) + offset
-        chunks.append(np.column_stack([preferred, other]))
-        offset += ranks.size
-    pairs = np.vstack(chunks) if chunks else np.empty((0, 2), dtype=int)
-    if pairs.shape[0] > cap:
-        rng = np.random.default_rng(seed)
-        keep = np.sort(rng.choice(pairs.shape[0], size=cap, replace=False))
-        pairs = pairs[keep]
+    counts = [np.count_nonzero(mask) for *_, mask in _ordered_blocks(rols)]
+    starts = np.concatenate([[0], np.cumsum(counts, dtype=int)])
+    total = int(starts[-1])
+    if total > cap:
+        keep = np.sort(np.random.default_rng(seed).choice(total, size=cap, replace=False))
+    else:
+        keep = np.arange(total)
+    bounds = np.searchsorted(keep, starts)
+    pairs = np.empty((keep.size, 2), dtype=int)
+    for (offset, swap, lo, mask), start, a, b in zip(_ordered_blocks(rols), starts, bounds, bounds[1:]):
+        if a == b:
+            continue
+        row, col = np.divmod(np.flatnonzero(mask)[keep[a:b] - start], mask.shape[1])
+        row += lo
+        pairs[a:b] = np.column_stack([col, row] if swap else [row, col]) + offset
     return pairs
 
 

@@ -34,6 +34,8 @@ __all__ = [
 BANDWIDTH_FLOOR = 1e-3
 DENSITY_FLOOR = 1e-9
 SQRT_2PI = np.sqrt(2.0 * np.pi)
+# query x sample cells per kde_density block
+KDE_BLOCK_CELLS = 65_536
 
 
 @dataclass(frozen=True)
@@ -80,11 +82,20 @@ def fit_kde(samples, bandwidth="silverman") -> KdeModel:
 def kde_density(model: KdeModel, delta):
     """Density (1/(n h)) * sum_k phi((delta - s_k)/h), floored at DENSITY_FLOOR.
 
-    Accepts a scalar or an array of query points.
+    Accepts a scalar or an array of query points. The queries are evaluated
+    in blocks of at most KDE_BLOCK_CELLS query x sample cells (one query per
+    block when n exceeds it), so memory stays bounded for any number of
+    queries; each query's kernel sum is the same contiguous row sum whatever
+    the block size.
     """
     d = np.asarray(delta, dtype=float)
-    u = (d[..., None] - model.samples) / model.bandwidth
-    dens = np.exp(-0.5 * u * u).sum(axis=-1) / (model.samples.size * model.bandwidth * SQRT_2PI)
+    queries = d.reshape(-1)
+    sums = np.empty(queries.size)
+    step = max(1, KDE_BLOCK_CELLS // model.samples.size)
+    for lo in range(0, queries.size, step):
+        u = (queries[lo : lo + step, None] - model.samples) / model.bandwidth
+        sums[lo : lo + step] = np.exp(-0.5 * u * u).sum(axis=-1)
+    dens = sums.reshape(d.shape) / (model.samples.size * model.bandwidth * SQRT_2PI)
     out = np.maximum(dens, DENSITY_FLOOR)
     return float(out) if out.ndim == 0 else out
 

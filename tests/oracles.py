@@ -14,7 +14,7 @@ import numpy as np
 from domm.core import AolSequence, DataError, average_ranks
 from domm.decoder import PROB_FLOOR, StateLattice
 from domm.labels import DECREASE, INCREASE, TIE, UNDECIDED
-from domm.transitions import TransitionModel, transition_matrices
+from domm.transitions import DENSITY_FLOOR, SQRT_2PI, KdeModel, TransitionModel, transition_matrices
 
 BRUTE_FORCE_LIMIT = 12
 
@@ -102,3 +102,38 @@ def consensus_vote_loop(stack) -> np.ndarray:
         closest = tied[dist == dist.min()]
         out[t] = closest[0] if closest.size == 1 else 1
     return out
+
+
+def enumerated_pairs(rols, cap, seed):
+    """Every strict pair of every utterance from ``triu_indices``, then the seeded subsample.
+
+    The oracle for ``build_pairs``: per utterance the ``r_i > r_j`` pairs as
+    (i, j), then the ``r_i < r_j`` pairs as (j, i), all offset into the
+    stacked frames; above ``cap`` a sorted seeded choice of them is kept.
+    """
+    chunks = []
+    offset = 0
+    for rol in rols:
+        ranks = rol.ranks
+        i, j = np.triu_indices(ranks.size, k=1)
+        greater = ranks[i] > ranks[j]
+        less = ranks[i] < ranks[j]
+        preferred = np.concatenate([i[greater], j[less]]) + offset
+        other = np.concatenate([j[greater], i[less]]) + offset
+        chunks.append(np.column_stack([preferred, other]))
+        offset += ranks.size
+    pairs = np.vstack(chunks) if chunks else np.empty((0, 2), dtype=int)
+    if pairs.shape[0] > cap:
+        rng = np.random.default_rng(seed)
+        keep = np.sort(rng.choice(pairs.shape[0], size=cap, replace=False))
+        pairs = pairs[keep]
+    return pairs
+
+
+def dense_kde_density(model: KdeModel, delta):
+    """The KDE from one whole query x sample matrix; the oracle for ``kde_density``."""
+    d = np.asarray(delta, dtype=float)
+    u = (d[..., None] - model.samples) / model.bandwidth
+    dens = np.exp(-0.5 * u * u).sum(axis=-1) / (model.samples.size * model.bandwidth * SQRT_2PI)
+    out = np.maximum(dens, DENSITY_FLOOR)
+    return float(out) if out.ndim == 0 else out

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from domm.experiment import (
     fit_bundle,
     load_features,
 )
+from domm.labels import ThresholdConfig, convert_annotation_set
 from domm.metrics import kendall_tau
 from domm.omsvm import OmsvmModel, state_posteriors
 from domm.svm import LinearModel, PlattCalibration
@@ -81,3 +84,38 @@ def test_fit_and_decode_read_no_files(corpus, monkeypatch, variant):
     assert list(pred_aols) == list(test)
     assert [len(a) for a in pred_aols.values()] == [len(f) for f in test.values()]
     assert bool(pred_rols) == (variant == "domm-rs")
+
+
+def long_utterance_peaks(n_frames: int) -> dict[str, float]:
+    """tracemalloc peak of convert, fit and decode on one synth utterance (R=6, D=10)."""
+    corpus = generate_corpus(SynthConfig(n_utterances=1, frames_per_utterance=n_frames, seed=0))
+    uf, ann = corpus.features[0], corpus.annotations[0]
+    config = ExperimentConfig(variant="domm-rs")
+    peaks = {}
+
+    def measure(stage, fn, *args):
+        tracemalloc.start()
+        try:
+            result = fn(*args)
+            peaks[stage] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return result
+
+    aol, rol, _ = measure(
+        "convert", convert_annotation_set, ann, ThresholdConfig(-0.215, 0.215), 0.0, uf.frame_period_s, 0.0
+    )
+    features = {uf.utterance_id: uf.frames}
+    bundle = measure("fit", fit_bundle, features, {uf.utterance_id: (aol, rol)}, config)
+    measure("decode", decode_features, bundle, features, config)
+    return peaks
+
+
+def test_long_utterance_memory_is_bounded_and_linear():
+    """No stage builds a T x T or T x N intermediate: 10 000 frames stay under 150 MB
+    per stage, and doubling T at most multiplies a stage's peak by 2.5."""
+    long, short = long_utterance_peaks(10_000), long_utterance_peaks(5_000)
+    assert set(long) == {"convert", "fit", "decode"}
+    for stage, peak in long.items():
+        assert peak < 150e6, stage
+        assert peak <= 2.5 * short[stage], stage

@@ -1,10 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from domm.core import DataError, RolSequence
+from domm.core import DataError, RolSequence, average_ranks
+from domm.labels import BLOCK_ROWS
 from domm.metrics import kendall_tau
 from domm.ranksvm import build_pairs, ranks_from_scores, train_ranksvm
 from domm.svm import LinearModel, decision_values, newton_squared_hinge
+from oracles import enumerated_pairs
 
 
 def rol(ranks, uid="u"):
@@ -36,6 +40,72 @@ class TestBuildPairs:
         np.testing.assert_array_equal(a, b)
         c = build_pairs(rols, cap=100, seed=8)
         assert not np.array_equal(a, c)
+
+
+def ranked(values, uid):
+    return rol(average_ranks(np.asarray(values, dtype=float)), uid)
+
+
+def untied(rng, n, uid):
+    return ranked(rng.random(n), uid)
+
+
+def tied(rng, n, levels, uid):
+    return ranked(rng.integers(0, levels, n), uid)
+
+
+# (name, utterances drawn from a generator, cap)
+PAIR_CASES = [
+    ("cap_at_least_total", lambda g: [untied(g, 40, "a"), tied(g, 30, 3, "b")], 10**6),
+    ("total_at_most_10000", lambda g: [untied(g, 100, "a"), untied(g, 60, "b")], 500),
+    ("tail_shuffle_above_10000", lambda g: [untied(g, 150, "a"), untied(g, 150, "b")], 1000),
+    ("floyd_above_10000", lambda g: [untied(g, 150, "a"), untied(g, 150, "b")], 100),
+    ("heavy_ties_across_blocks", lambda g: [tied(g, BLOCK_ROWS * 2 + 37, 4, "a")], 3000),
+    (
+        "all_tied_one_frame_and_offsets",
+        lambda g: [tied(g, 50, 1, "a"), untied(g, 1, "b"), tied(g, 80, 5, "c"), untied(g, 90, "d")],
+        700,
+    ),
+]
+
+
+class TestBlockedPairsEqualEnumeration:
+    @pytest.mark.parametrize("seed", [0, 7, 101])
+    @pytest.mark.parametrize("name,make,cap", PAIR_CASES, ids=[c[0] for c in PAIR_CASES])
+    def test_same_pairs_same_order_same_dtype(self, name, make, cap, seed):
+        rols = make(np.random.default_rng(seed))
+        got = build_pairs(rols, cap=cap, seed=seed)
+        want = enumerated_pairs(rols, cap, seed)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    def test_cases_reach_both_choice_branches(self):
+        """Generator.choice shuffles a tail when total <= 10000 or cap > total // 50, else uses Floyd."""
+        totals = {
+            name: sum(r.ranks.size * (r.ranks.size - 1) // 2 for r in make(np.random.default_rng(0)))
+            for name, make, _ in PAIR_CASES
+            if "floyd" in name or "tail" in name
+        }
+        assert totals["tail_shuffle_above_10000"] > 10_000 and 1000 > totals["tail_shuffle_above_10000"] // 50
+        assert totals["floyd_above_10000"] > 10_000 and 100 <= totals["floyd_above_10000"] // 50
+
+    def test_no_utterances_give_no_pairs(self):
+        got = build_pairs([], cap=5, seed=0)
+        want = enumerated_pairs([], 5, 0)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_peak_memory_under_25mb_at_3x3000_frames(self):
+        """Enumerating all 13.5M pairs before sampling took 500-700 MB."""
+        rng = np.random.default_rng(11)
+        rols = [untied(rng, 3000, f"u{k}") for k in range(3)]
+        tracemalloc.start()
+        try:
+            pairs = build_pairs(rols, cap=200_000, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert pairs.shape == (200_000, 2)
+        assert peak < 25e6
 
 
 class TestTrainRankSVM:

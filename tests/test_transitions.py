@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -5,13 +7,14 @@ from dataclasses import replace
 from domm.core import AolSequence, DataError, RolSequence
 from domm.transitions import (
     DENSITY_FLOOR,
+    KDE_BLOCK_CELLS,
     fit_kde,
     fit_transition_model,
     kde_density,
     silverman_bandwidth,
     transition_matrices,
 )
-from oracles import transition_distribution
+from oracles import dense_kde_density, transition_distribution
 
 L, M, H = 0, 1, 2
 
@@ -32,6 +35,40 @@ def make_model(sequences, **kwargs):
 
         rols.append(RolSequence.from_ranks(uid, rankdata(values, method="average")))
     return fit_transition_model(aols, rols, **kwargs)
+
+
+# below and above the cell budget; many-query shapes only where the dense oracle stays small
+KDE_CASES = [
+    (n_samples, shape)
+    for n_samples in (1, 37, KDE_BLOCK_CELLS // 3, KDE_BLOCK_CELLS + 5)
+    for shape in ((), (0,), (7,), (6, 5)) + (((2500,), (40, 90)) if n_samples < 100 else ())
+]
+
+
+class TestBlockedKdeEqualsDense:
+    @pytest.mark.parametrize("n_samples,shape", KDE_CASES, ids=str)
+    def test_bit_identical(self, n_samples, shape):
+        rng = np.random.default_rng(n_samples)
+        model = fit_kde(rng.normal(size=n_samples))
+        query = rng.normal(scale=2.0, size=shape)
+        got = kde_density(model, query)
+        want = dense_kde_density(model, query)
+        assert type(got) is type(want)
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(got, want)
+
+    def test_peak_memory_under_5mb(self):
+        """A 3000 x 12000 float64 matrix alone is 288 MB; the dense form took 864 MB."""
+        rng = np.random.default_rng(21)
+        model = fit_kde(rng.normal(size=12_000))
+        query = rng.normal(size=3000)
+        tracemalloc.start()
+        try:
+            kde_density(model, query)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
 
 
 class TestKde:
