@@ -21,7 +21,7 @@ from domm.transitions import TransitionModel
 
 __all__ = ["FORMAT_VERSION", "ModelBundle", "load_model_bundle", "save_model_bundle"]
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -34,8 +34,8 @@ class ModelBundle:
     seed: int
 
     def __post_init__(self):
-        if self.class_counts.shape != (3,):
-            raise DataError("bundle class_counts must hold one count per state")
+        if self.class_counts.shape != (3,) or np.any(self.class_counts < 1):
+            raise DataError("bundle class_counts must hold one positive count per state")
 
     def to_dict(self) -> dict:
         return {

@@ -117,15 +117,12 @@ class UtteranceFeatures:
 
     utterance_id: str
     frames: np.ndarray
-    frame_period_s: float | None = None
 
     def __post_init__(self):
         if self.frames.ndim != 2 or self.frames.shape[0] < 1 or self.frames.shape[1] < 1:
             raise DataError(f"{self.utterance_id}: feature matrix must be T x D with T,D >= 1")
         if not np.all(np.isfinite(self.frames)):
             raise DataError(f"{self.utterance_id}: feature matrix contains non-finite values")
-        if self.frame_period_s is not None and not self.frame_period_s > 0:
-            raise DataError(f"{self.utterance_id}: frame_period_s must be positive")
 
     @property
     def n_dims(self) -> int:
@@ -394,14 +391,19 @@ def _read_csv_lines(path) -> tuple[dict[str, str], list[str], list[list[str]]]:
     return meta, header, rows
 
 
+def _check_row_widths(path, rows: list[list[str]], width: int) -> None:
+    for r, cells in enumerate(rows):
+        if len(cells) != width:
+            raise DataError(f"{path}: row {r + 1} has {len(cells)} cells, expected {width}")
+
+
 def _parse_matrix(path, header: list[str], rows: list[list[str]]) -> np.ndarray:
     if not rows:
         raise DataError(f"{path}: no data rows")
     width = len(header)
+    _check_row_widths(path, rows, width)
     out = np.empty((len(rows), width))
     for r, cells in enumerate(rows):
-        if len(cells) != width:
-            raise DataError(f"{path}: row {r + 1} has {len(cells)} cells, expected {width}")
         for c, cell in enumerate(cells):
             try:
                 value = float(cell)
@@ -423,12 +425,10 @@ def _meta_float(path, meta: dict[str, str], key: str) -> float:
 
 
 def parse_features(path) -> UtteranceFeatures:
-    """Parse a feature CSV: optional ``#key=value`` metadata, header, one row per frame."""
+    """Parse a feature CSV: ``#key=value`` metadata (only ``#utterance_id=`` is read), header, rows."""
     meta, header, rows = _read_csv_lines(path)
     frames = _parse_matrix(path, header, rows)
-    utterance_id = meta.get("utterance_id", Path(path).stem)
-    period = _meta_float(path, meta, "frame_period_s") if "frame_period_s" in meta else None
-    return UtteranceFeatures(utterance_id=utterance_id, frames=frames, frame_period_s=period)
+    return UtteranceFeatures(meta.get("utterance_id", Path(path).stem), frames)
 
 
 def parse_annotations(path, value_range: tuple[float, float]) -> AnnotationSet:
@@ -458,6 +458,7 @@ def read_aol_csv(path) -> AolSequence:
     meta, header, rows = _read_csv_lines(path)
     if header != ["aol"]:
         raise DataError(f"{path}: expected single 'aol' column")
+    _check_row_widths(path, rows, 1)
     try:
         labels = np.array([int(r[0]) for r in rows])
     except ValueError as exc:

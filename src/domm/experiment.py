@@ -50,7 +50,7 @@ from domm.decoder import StateLattice, framewise_argmax, viterbi_decode
 from domm.labels import ThresholdConfig, convert_annotation_set
 from domm.metrics import DegenerateMarginalsError, kendall_tau, precision_at_k, uar, weighted_kappa
 from domm.omsvm import DIRECTIONS, state_posteriors, train_omsvm
-from domm.ranksvm import DEFAULT_PAIR_CAP, build_pairs, ranks_from_scores, train_ranksvm
+from domm.ranksvm import build_pairs, ranks_from_scores, train_ranksvm
 from domm.svm import decision_values, fit_standardization
 from domm.transitions import fit_transition_model
 
@@ -79,7 +79,6 @@ class ExperimentConfig(Config):
     variant: str = "domm-rs"
     svm_c: float = 1e-4
     rank_c: float = 1e-4
-    pair_cap: int = DEFAULT_PAIR_CAP
     direction: str = "forward"
     bandwidth: object = "silverman"
     min_cell_samples: int = 10
@@ -93,7 +92,6 @@ class ExperimentConfig(Config):
             ("variant", self.variant in VARIANTS, f"one of {VARIANTS}"),
             ("svm_c", is_positive(self.svm_c), "a positive number"),
             ("rank_c", is_positive(self.rank_c), "a positive number"),
-            ("pair_cap", is_positive(self.pair_cap, integral=True), "a positive integer"),
             ("direction", self.direction in DIRECTIONS, f"one of {DIRECTIONS}"),
             ("bandwidth", self.bandwidth == "silverman" or is_positive(self.bandwidth),
              '"silverman" or a positive number'),
@@ -199,7 +197,7 @@ def fit_bundle(features, labels, config: ExperimentConfig) -> ModelBundle:
     )
     ranker = None
     if config.variant == "domm-rs":
-        pairs = build_pairs(rols, cap=config.pair_cap, seed=config.seed)
+        pairs = build_pairs(rols, seed=config.seed)
         ranker = train_ranksvm(x, pairs, config.rank_c, standardization=standardization)
     transitions = None
     if config.variant != "omsvm-only":

@@ -100,7 +100,7 @@ def generate_corpus(cfg: SynthConfig) -> SynthCorpus:
                 + cfg.annotator_noise_std * rng.normal(size=t_max)
             )
             rows.append(np.clip(trace, -1.0, 1.0))
-        features.append(UtteranceFeatures(uid, frames, cfg.frame_period_s))
+        features.append(UtteranceFeatures(uid, frames))
         annotations.append(
             AnnotationSet(uid, np.stack(rows), cfg.frame_period_s, (-1.0, 1.0))
         )
@@ -135,7 +135,7 @@ def write_corpus(
             [f"f{i}" for i in range(uf.n_dims)],
             uf.frames,
             utterance_id=uf.utterance_id,
-            frame_period_s=uf.frame_period_s,
+            frame_period_s=cfg.frame_period_s,
         )
         write_csv(
             out / "annotations" / f"{ann.utterance_id}.csv",

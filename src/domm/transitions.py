@@ -10,7 +10,9 @@ difference:
 
 The denominator P(d | i) does not depend on j, so renormalizing each row
 cancels it exactly; it is never evaluated. The per-row marginal densities
-are still fit, as the fallback for sparse (previous, current) cells.
+are still fit, as the fallback for sparse (previous, current) cells. The
+model keeps only the prior and the densities: the transition counts that
+built the prior are not stored.
 """
 
 from __future__ import annotations
@@ -107,14 +109,12 @@ class TransitionModel:
     prior: np.ndarray
     conditional_kdes: tuple
     marginal_kdes: tuple
-    counts: np.ndarray
     # which rank representation the densities were fit on; queries must match
     use_normalized_ranks: bool = True
 
     def __post_init__(self):
-        shapes = ([len(row) for row in self.conditional_kdes], len(self.marginal_kdes), self.counts.shape)
-        if shapes != ([3, 3, 3], 3, (3, 3)):
-            raise DataError("transition model needs 3x3 conditional KDEs, 3 marginals, 3x3 counts")
+        if ([len(row) for row in self.conditional_kdes], len(self.marginal_kdes)) != ([3, 3, 3], 3):
+            raise DataError("transition model needs 3x3 conditional KDEs and 3 marginals")
         if not isinstance(self.use_normalized_ranks, bool):
             raise DataError("use_normalized_ranks must be true or false")
         if self.prior.shape != (3, 3) or np.any(self.prior <= 0):
@@ -129,7 +129,6 @@ class TransitionModel:
                 [kde.to_dict() for kde in row] for row in self.conditional_kdes
             ],
             "marginal_kdes": [kde.to_dict() for kde in self.marginal_kdes],
-            "counts": self.counts.tolist(),
             "use_normalized_ranks": self.use_normalized_ranks,
         }
 
@@ -141,7 +140,6 @@ class TransitionModel:
                 tuple(KdeModel.from_dict(k) for k in row) for row in d["conditional_kdes"]
             ),
             marginal_kdes=tuple(KdeModel.from_dict(k) for k in d["marginal_kdes"]),
-            counts=np.asarray(d["counts"], dtype=int),
             use_normalized_ranks=d["use_normalized_ranks"],
         )
 
@@ -161,50 +159,43 @@ def fit_transition_model(
     (N_ij + 1) / (N_i + 3) where N_i counts frames that have a successor.
     Cells with fewer than ``min_cell_samples`` rank differences fall back to
     their row's marginal density; an empty row falls back to the pooled
-    density over all transitions.
+    density over all transitions. A cell keeps its differences in
+    utterance-then-frame order, a row pools its cells in column order and the
+    pooled density all cells in (row, column) order.
     """
     if len(aols) != len(rols):
         raise DataError("need one rank sequence per label sequence")
-    counts = np.zeros((3, 3), dtype=int)
-    cell_samples: list[list[list[float]]] = [[[], [], []], [[], [], []], [[], [], []]]
+    prev, cur, deltas = [], [], []
     for aol, rol in zip(aols, rols):
         if aol.utterance_id != rol.utterance_id or len(aol) != len(rol):
             raise DataError(
                 f"misaligned label/rank sequences for {aol.utterance_id!r}/{rol.utterance_id!r}"
             )
-        if len(aol) < 2:
-            continue
         values = rol.normalized if use_normalized_ranks else rol.ranks
-        deltas = np.diff(values)
-        prev = aol.labels[:-1]
-        cur = aol.labels[1:]
-        np.add.at(counts, (prev, cur), 1)
-        for i, j, d in zip(prev, cur, deltas):
-            cell_samples[i][j].append(float(d))
-    if counts.sum() == 0:
+        prev.append(aol.labels[:-1])
+        cur.append(aol.labels[1:])
+        deltas.append(np.diff(values))
+    if sum(d.size for d in deltas) == 0:
         raise DataError("no consecutive frame pairs in the training sequences")
+    prev, cur, deltas = (np.concatenate(steps) for steps in (prev, cur, deltas))
 
-    n_prev = counts.sum(axis=1)
-    prior = (counts + 1.0) / (n_prev + 3.0)[:, None]
+    cells = [[deltas[(prev == i) & (cur == j)] for j in range(3)] for i in range(3)]
+    counts = np.array([[cell.size for cell in row] for row in cells])
+    prior = (counts + 1.0) / (counts.sum(axis=1) + 3.0)[:, None]
 
-    pooled = [d for row in cell_samples for cell in row for d in cell]
-    pooled_kde = fit_kde(pooled, bandwidth)
+    pooled_kde = fit_kde(np.concatenate([cell for row in cells for cell in row]), bandwidth)
     marginal_kdes = []
-    for i in range(3):
-        row = [d for cell in cell_samples[i] for d in cell]
-        marginal_kdes.append(fit_kde(row, bandwidth) if row else pooled_kde)
-    conditional_kdes = []
-    for i in range(3):
-        row_kdes = []
-        for j in range(3):
-            cell = cell_samples[i][j]
-            row_kdes.append(fit_kde(cell, bandwidth) if len(cell) >= min_cell_samples else marginal_kdes[i])
-        conditional_kdes.append(tuple(row_kdes))
+    for row in cells:
+        samples = np.concatenate(row)
+        marginal_kdes.append(fit_kde(samples, bandwidth) if samples.size else pooled_kde)
+    conditional_kdes = tuple(
+        tuple(fit_kde(cell, bandwidth) if cell.size >= min_cell_samples else marginal for cell in row)
+        for row, marginal in zip(cells, marginal_kdes)
+    )
     return TransitionModel(
         prior=prior,
-        conditional_kdes=tuple(conditional_kdes),
+        conditional_kdes=conditional_kdes,
         marginal_kdes=tuple(marginal_kdes),
-        counts=counts,
         use_normalized_ranks=use_normalized_ranks,
     )
 

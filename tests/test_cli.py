@@ -288,14 +288,6 @@ class TestTrain:
             with pytest.raises(DataError, match=part):
                 load_model_bundle(out / "model.json")
 
-    def test_bad_frame_period_metadata_exits_2(self, corpus_dir, tmp_path):
-        labels = convert(corpus_dir, tmp_path / "labels")
-        manifest = with_edited_file(
-            corpus_dir, tmp_path, "features", lambda text: text.replace("_period_s=", "_period_s=xyz")
-        )
-        result = run_cli("train", "--manifest", manifest, "--labels", labels, "--out", tmp_path / "m")
-        assert_exit_2(result, "'#frame_period_s=' must be a finite number")
-
     def test_mixed_feature_widths_exit_2_naming_both(self, corpus_dir, tmp_path):
         labels = convert(corpus_dir, tmp_path / "labels")
 
@@ -321,10 +313,11 @@ class TestTrain:
         [
             {"bandwidth": "wide"},
             {"svm_c": "x"},
-            # a config written before denominator_mode was removed
+            # configs written before denominator_mode and pair_cap were removed
             {"denominator_mode": "marginalized"},
+            {"pair_cap": 200000},
         ],
-        ids=["bandwidth", "svm_c", "denominator_mode"],
+        ids=["bandwidth", "svm_c", "denominator_mode", "pair_cap"],
     )
     def test_bad_config_exits_2(self, corpus_dir, tmp_path, config):
         labels = convert(corpus_dir, tmp_path / "labels")
@@ -453,6 +446,26 @@ class TestDecode:
         assert result.exit_code == 2, result.output
         assert result.output.startswith("error:")
 
+    @pytest.mark.parametrize("class_counts", [[0, 0, 0], [-5, 10, 3]], ids=["zeros", "negative"])
+    def test_non_positive_class_counts_exit_2(self, corpus_dir, tmp_path, class_counts):
+        labels = convert(corpus_dir, tmp_path / "labels")
+        train_out = tmp_path / "train"
+        run_cli(
+            "train", "--manifest", corpus_dir / "manifest.json", "--labels", labels,
+            "--out", train_out, "--variant", "omsvm-only",
+        )
+        raw = json.loads((train_out / "model.json").read_text())
+        raw["class_counts"] = class_counts
+        (train_out / "model.json").write_text(json.dumps(raw))
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text('{"divide_by_prior": true}')
+        result = run_cli(
+            "decode", "--bundle", train_out / "model.json", "--manifest", corpus_dir / "manifest.json",
+            "--out", tmp_path / "pred", "--config", cfg_path,
+        )
+        assert_exit_2(result, "class_counts")
+        assert not (tmp_path / "pred").exists()
+
     def test_empty_split_exits_2(self, corpus_dir, tmp_path):
         labels = convert(corpus_dir, tmp_path / "labels")
         train_out = tmp_path / "train"
@@ -538,6 +551,23 @@ class TestEval:
         assert rows.pop(entry["utterance_id"]) == {"utterance_id": entry["utterance_id"]}
         assert len(rows) == 2 and all("tau" in row for row in rows.values())
         assert fold["tau_mean"] == np.mean([row["tau"] for row in rows.values()])
+
+    def test_prediction_row_with_extra_cells_exits_2(self, corpus_dir, tmp_path):
+        labels = convert(corpus_dir, tmp_path / "labels")
+        pred = tmp_path / "pred"
+        pred.mkdir()
+        for path in labels.glob("*.aol.csv"):
+            (pred / path.name).write_text(path.read_text())
+        first = sorted(pred.glob("*.aol.csv"))[0]
+        meta, body = csv_parts(first.read_text())
+        body[1] = "2,2,junk"
+        first.write_text("\n".join(meta + body) + "\n")
+        result = run_cli(
+            "eval", "--manifest", corpus_dir / "manifest.json", "--pred", pred, "--split", "all",
+            "--labels", labels, "--out", tmp_path / "report",
+        )
+        assert_exit_2(result, first.name, "row 1 has 3 cells, expected 1")
+        assert not (tmp_path / "report" / "report.json").exists()
 
     def test_missing_prediction_exits_2(self, corpus_dir, tmp_path):
         labels = convert(corpus_dir, tmp_path / "labels")

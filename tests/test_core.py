@@ -160,6 +160,14 @@ def test_aol_rol_csv_round_trip(tmp_path):
     np.testing.assert_array_equal(back.normalized, rol.normalized)
 
 
+@pytest.mark.parametrize("row", ["2,2,junk", "2,"])
+def test_read_aol_csv_rejects_extra_cells(tmp_path, row):
+    path = tmp_path / "a.aol.csv"
+    path.write_text(f"aol\n0\n{row}\n")
+    with pytest.raises(DataError, match="row 2 has [23] cells, expected 1"):
+        read_aol_csv(path)
+
+
 def test_write_csv_format(tmp_path):
     path = tmp_path / "t.csv"
     write_csv(path, ["name", "n", "x"], [("a", 3, 0.5), ("b", np.int64(4), np.float64(2.0))],
@@ -188,10 +196,10 @@ def test_read_json_rejects_non_finite_numbers(tmp_path, number):
 
 @pytest.mark.parametrize("value", ["abc", "nan", "inf"])
 def test_bad_period_metadata_raises_data_error(tmp_path, value):
+    # feature files carry the frame period only as an unread note
     features = tmp_path / "f.csv"
     features.write_text(f"#frame_period_s={value}\nf0\n1.0\n")
-    with pytest.raises(DataError, match="'#frame_period_s=' must be a finite number"):
-        parse_features(features)
+    np.testing.assert_array_equal(parse_features(features).frames, [[1.0]])
     annotations = tmp_path / "a.csv"
     annotations.write_text(f"#period_s={value}\nr0\n0.0\n")
     with pytest.raises(DataError, match="'#period_s=' must be a finite number"):

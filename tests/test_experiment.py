@@ -103,7 +103,7 @@ def long_utterance_peaks(n_frames: int) -> dict[str, float]:
         return result
 
     aol, rol, _ = measure(
-        "convert", convert_annotation_set, ann, ThresholdConfig(-0.215, 0.215), 0.0, uf.frame_period_s, 0.0
+        "convert", convert_annotation_set, ann, ThresholdConfig(-0.215, 0.215), 0.0, corpus.config.frame_period_s, 0.0
     )
     features = {uf.utterance_id: uf.frames}
     bundle = measure("fit", fit_bundle, features, {uf.utterance_id: (aol, rol)}, config)

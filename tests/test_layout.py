@@ -1,6 +1,7 @@
 """The package exports only what it runs, and the README names only what exists."""
 
 import ast
+import json
 import re
 from pathlib import Path
 
@@ -46,6 +47,15 @@ def readme_entry_point_imports() -> list[str]:
 @pytest.mark.parametrize("line", readme_entry_point_imports())
 def test_readme_entry_point_imports_resolve(line):
     exec(line, {})
+
+
+def test_readme_config_example_is_the_default_config():
+    from domm.experiment import ExperimentConfig
+
+    text = (ROOT / "README.md").read_text()
+    block = re.search(r"## Experiment config.*?```json\n(.*?)```", text, re.S)
+    assert block, "README has no Experiment config block"
+    assert json.loads(block.group(1)) == ExperimentConfig().to_dict()
 
 
 def bound_names(tree: ast.Module) -> set[str]:

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from dataclasses import replace
+from scipy.stats import rankdata
 
 from domm.core import AolSequence, DataError, RolSequence
 from domm.transitions import (
@@ -31,8 +32,6 @@ def make_model(sequences, **kwargs):
     for idx, (labels, values) in enumerate(sequences):
         uid = f"u{idx}"
         aols.append(AolSequence(uid, np.asarray(labels)))
-        from scipy.stats import rankdata
-
         rols.append(RolSequence.from_ranks(uid, rankdata(values, method="average")))
     return fit_transition_model(aols, rols, **kwargs)
 
@@ -122,8 +121,24 @@ class TestFitTransitionModel:
     def test_hand_counted_prior_row(self):
         model = make_model([([L, L, M, H, H], [0.1, 0.2, 0.3, 0.4, 0.5])])
         np.testing.assert_allclose(model.prior[L], [2 / 5, 2 / 5, 1 / 5])
-        assert model.counts[L, L] == 1 and model.counts[L, M] == 1
-        assert model.counts[M, H] == 1 and model.counts[H, H] == 1
+        # one M->H and one H->H step: add-one smoothing over one successor each
+        np.testing.assert_allclose(model.prior[M], [1 / 4, 1 / 4, 1 / 2])
+        np.testing.assert_allclose(model.prior[H], [1 / 4, 1 / 4, 1 / 2])
+
+    def test_samples_keep_step_order(self):
+        """Each cell keeps utterance-then-frame order and each row pools its cells by column."""
+        rng = np.random.default_rng(17)
+        seqs = [(rng.integers(0, 3, n), rng.normal(size=n)) for n in (40, 1, 25, 60)]
+        model = make_model(seqs, min_cell_samples=1)
+        cells = [[[], [], []], [[], [], []], [[], [], []]]
+        for labels, values in seqs:
+            normalized = (rankdata(values) - 1.0) / max(len(values) - 1.0, 1.0)
+            for t in range(1, len(labels)):
+                cells[labels[t - 1]][labels[t]].append(normalized[t] - normalized[t - 1])
+        for i in range(3):
+            for j in range(3):
+                np.testing.assert_array_equal(model.conditional_kdes[i][j].samples, cells[i][j])
+            np.testing.assert_array_equal(model.marginal_kdes[i].samples, sum(cells[i], []))
 
     def test_rows_are_stochastic_and_positive(self):
         rng = np.random.default_rng(5)
@@ -151,6 +166,10 @@ class TestFitTransitionModel:
     def test_no_pairs_errors(self):
         with pytest.raises(DataError, match="consecutive"):
             make_model([([L], [0.5])])
+
+    def test_no_sequences_errors(self):
+        with pytest.raises(DataError, match="consecutive"):
+            fit_transition_model([], [])
 
     def test_deltas_in_unit_interval(self):
         rng = np.random.default_rng(7)
