@@ -14,14 +14,14 @@ from pathlib import Path
 
 import numpy as np
 
-from domm.core import DataError, canonical_json, checked_from_dict, read_json
+from domm.core import DataError, canonical_json, checked_from_dict, json_numbers, read_json
 from domm.omsvm import OmsvmModel
 from domm.svm import LinearModel
 from domm.transitions import TransitionModel
 
 __all__ = ["FORMAT_VERSION", "ModelBundle", "load_model_bundle", "save_model_bundle"]
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -31,7 +31,6 @@ class ModelBundle:
     transitions: TransitionModel | None
     class_counts: np.ndarray
     config_hash: str
-    seed: int
 
     def __post_init__(self):
         if self.class_counts.shape != (3,) or np.any(self.class_counts < 1):
@@ -44,12 +43,12 @@ class ModelBundle:
             "ranksvm": self.ranker.to_dict() if self.ranker is not None else None,
             "transitions": self.transitions.to_dict() if self.transitions is not None else None,
             "class_counts": self.class_counts.tolist(),
-            "provenance": {"config_hash": self.config_hash, "seed": self.seed},
+            "provenance": {"config_hash": self.config_hash},
         }
 
     @checked_from_dict
     def from_dict(cls, d: dict) -> "ModelBundle":
-        version = int(d.get("format_version", -1))
+        version = int(json_numbers(d.get("format_version", -1), integral=True))
         if version != FORMAT_VERSION:
             raise DataError(
                 f"unsupported bundle format_version {version}, expected {FORMAT_VERSION}"
@@ -57,14 +56,9 @@ class ModelBundle:
         return cls(
             omsvm=OmsvmModel.from_dict(d["omsvm"]),
             ranker=LinearModel.from_dict(d["ranksvm"]) if d["ranksvm"] is not None else None,
-            transitions=(
-                TransitionModel.from_dict(d["transitions"])
-                if d["transitions"] is not None
-                else None
-            ),
-            class_counts=np.asarray(d["class_counts"], dtype=int),
+            transitions=TransitionModel.from_dict(d["transitions"]) if d["transitions"] is not None else None,
+            class_counts=json_numbers(d["class_counts"], integral=True),
             config_hash=str(d["provenance"]["config_hash"]),
-            seed=int(d["provenance"]["seed"]),
         )
 
 

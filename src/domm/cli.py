@@ -2,9 +2,9 @@
 
 Every command writes its outputs below ``--out`` together with a
 ``run.json`` provenance record: the command, the tool version, every option
-of the command except ``--out``, and any resolved config with its hash and
-seed. Outputs are canonical: rerunning a command with the same inputs,
-config, and seed reproduces every file byte for byte.
+of the command except ``--out``, and any resolved config with its hash.
+Outputs are canonical: rerunning a command with the same inputs and config
+reproduces every file byte for byte.
 
 Exit codes: 0 success, 1 internal error, 2 user/input error.
 """
@@ -24,6 +24,7 @@ from domm import __version__
 from domm.bundle import load_model_bundle, save_model_bundle
 from domm.core import (
     DataError,
+    ThresholdConfig,
     load_manifest,
     parse_annotations,
     read_aol_csv,
@@ -46,7 +47,7 @@ from domm.experiment import (
     run_xval,
     write_report,
 )
-from domm.labels import ThresholdConfig, sweep_thresholds
+from domm.labels import sweep_thresholds
 from domm.metrics import DegenerateMarginalsError
 from domm.synth import SynthConfig, generate_corpus, write_corpus
 
@@ -84,7 +85,6 @@ def _write_run_record(out_dir: Path, config=None) -> None:
     if config is not None:
         record["config"] = config.to_dict()
         record["config_hash"] = config.config_hash()
-        record["seed"] = config.seed
     write_json(out_dir / "run.json", record)
 
 
@@ -126,11 +126,10 @@ def convert(manifest_path, out_dir, split, eps_tie):
     show_default=True,
     help="theta1 = theta-sum - theta2 (0 sweeps symmetric thresholds).",
 )
-@click.option("--boundary-mode", default="text-rule", show_default=True)
 @click.option("--split", default="train", show_default=True)
 @_fail_on_data_errors
-def sweep(manifest_path, out_dir, theta2_min, theta2_max, theta2_step, theta_sum, boundary_mode, split):
-    """Tabulate label balance and agreement over a threshold grid."""
+def sweep(manifest_path, out_dir, theta2_min, theta2_max, theta2_step, theta_sum, split):
+    """Tabulate label balance and agreement over a threshold grid, in the manifest's boundary mode."""
     if not 0 < theta2_step < math.inf:
         raise DataError(f"--theta2-step must be positive and finite, got {theta2_step}")
     span = (theta2_max - theta2_min) / theta2_step + 1e-9
@@ -143,11 +142,10 @@ def sweep(manifest_path, out_dir, theta2_min, theta2_max, theta2_step, theta_sum
         for e in manifest.split_entries(split)
     ]
     grid = [
-        ThresholdConfig(theta_sum - t2, t2, boundary_mode)
+        ThresholdConfig(theta_sum - t2, t2, manifest.thresholds.boundary_mode)
         for t2 in (theta2_min + k * theta2_step for k in range(n_steps))
     ]
-    pre = manifest.preprocessing
-    rows = sweep_thresholds(annotations, grid, (pre.delay_s, pre.window_s, pre.overlap))
+    rows = sweep_thresholds(annotations, grid, manifest.preprocessing)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_csv(

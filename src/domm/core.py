@@ -30,12 +30,14 @@ __all__ = [
     "MissingClassError",
     "Preprocessing",
     "RolSequence",
+    "ThresholdConfig",
     "UtteranceFeatures",
     "average_ranks",
     "canonical_json",
     "checked_from_dict",
     "format_float",
     "is_positive",
+    "json_numbers",
     "load_manifest",
     "parse_annotations",
     "parse_features",
@@ -77,6 +79,22 @@ def is_positive(x, integral: bool = False, or_zero: bool = False) -> bool:
     return (isinstance(x, numbers.Integral) or math.isfinite(x)) and (x >= 0 if or_zero else x > 0)
 
 
+def json_numbers(value, integral: bool = False) -> np.ndarray:
+    """A parsed JSON number, or nested lists of them, as a float (int if ``integral``) array.
+
+    Anything else raises TypeError, which ``checked_from_dict`` reports as DataError.
+    """
+    allowed = (int,) if integral else (int, float)
+    pending = [value]
+    while pending:
+        item = pending.pop()
+        if type(item) is list:
+            pending.extend(item)
+        elif type(item) not in allowed:
+            raise TypeError(f"expected JSON {'integers' if integral else 'numbers'}, got {item!r}")
+    return np.asarray(value, dtype=int if integral else float)
+
+
 class Config:
     """Base of the frozen config dataclasses: field checks and a JSON-object round trip."""
 
@@ -84,7 +102,7 @@ class Config:
         """Raise DataError for the first ``(key, ok, expected)`` whose ``ok`` is false."""
         for key, ok, expected in checks:
             if not ok:
-                raise DataError(f"config {key} must be {expected}, got {getattr(self, key)!r}")
+                raise DataError(f"{type(self).__name__} {key} must be {expected}, got {getattr(self, key)!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -183,19 +201,18 @@ class RolSequence:
     """Per-frame ranks within one utterance, tied-average convention.
 
     ``normalized`` maps ranks to [0, 1] via (rank - 1) / (T - 1), with the
-    singleton convention 0.5 when T = 1; rank differences are always taken
-    on the normalized form so utterances of different lengths share a scale.
+    singleton convention 0.5 when T = 1; it is derived from ``ranks``, never
+    stored, so utterances of different lengths share a scale.
     """
 
     utterance_id: str
     ranks: np.ndarray
-    normalized: np.ndarray
 
     def __post_init__(self):
         t = self.ranks.size
-        if self.ranks.ndim != 1 or t < 1 or self.normalized.shape != self.ranks.shape:
-            raise DataError(f"{self.utterance_id}: ranks/normalized must be equal-length 1-D")
-        if not (np.all(np.isfinite(self.ranks)) and np.all(np.isfinite(self.normalized))):
+        if self.ranks.ndim != 1 or t < 1:
+            raise DataError(f"{self.utterance_id}: ranks must be non-empty 1-D")
+        if not np.all(np.isfinite(self.ranks)):
             raise DataError(f"{self.utterance_id}: ranks contain non-finite values")
         expected = t * (t + 1) / 2.0
         if abs(self.ranks.sum() - expected) > 1e-6 * max(expected, 1.0):
@@ -206,13 +223,16 @@ class RolSequence:
 
     @classmethod
     def from_ranks(cls, utterance_id: str, ranks) -> "RolSequence":
-        ranks = np.asarray(ranks, dtype=float)
-        t = ranks.size
-        if t == 1:
-            normalized = np.array([0.5])
-        else:
-            normalized = (ranks - 1.0) / (t - 1.0)
-        return cls(utterance_id, ranks, normalized)
+        return cls(utterance_id, np.asarray(ranks, dtype=float))
+
+    @property
+    def normalized(self) -> np.ndarray:
+        t = self.ranks.size
+        return np.array([0.5]) if t == 1 else (self.ranks - 1.0) / (t - 1.0)
+
+    def deltas(self, normalized: bool) -> np.ndarray:
+        """Frame-to-frame differences of the normalized (or raw) ranks."""
+        return np.diff(self.normalized if normalized else self.ranks)
 
     def __len__(self) -> int:
         return self.ranks.size
@@ -239,10 +259,43 @@ class ManifestEntry:
 
 
 @dataclass(frozen=True)
-class Preprocessing:
+class Preprocessing(Config):
+    """Annotation smoothing: a delay shift, then windows of ``window_s`` overlapping by ``overlap``."""
+
     delay_s: float
     window_s: float
     overlap: float
+
+    def __post_init__(self):
+        self._check(
+            ("delay_s", is_positive(self.delay_s, or_zero=True), "a number >= 0"),
+            ("window_s", is_positive(self.window_s), "a positive number"),
+            ("overlap", is_positive(self.overlap, or_zero=True) and self.overlap < 1, "a number in [0, 1)"),
+        )
+
+
+BOUNDARY_MODES = ("text-rule", "table-half-open")
+
+
+@dataclass(frozen=True)
+class ThresholdConfig:
+    """Two thresholds splitting the value range into Low / Medium / High.
+
+    ``text-rule``:       Low on (-inf, theta1], Medium on (theta1, theta2], High above.
+    ``table-half-open``: Low on [min, theta1), Medium on [theta1, theta2), High on [theta2, max].
+    """
+
+    theta1: float
+    theta2: float
+    boundary_mode: str = "text-rule"
+
+    def __post_init__(self):
+        thetas = (self.theta1, self.theta2)
+        numeric = all(isinstance(t, numbers.Real) and not isinstance(t, bool) for t in thetas)
+        if not (numeric and self.theta1 < self.theta2):
+            raise DataError(f"thresholds must be numbers with theta1 < theta2, got {self.theta1!r}, {self.theta2!r}")
+        if self.boundary_mode not in BOUNDARY_MODES:
+            raise DataError(f"unknown boundary_mode {self.boundary_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -253,7 +306,7 @@ class DatasetManifest:
     dimension_name: str
     value_range: tuple[float, float]
     preprocessing: Preprocessing
-    thresholds: dict
+    thresholds: ThresholdConfig
     utterances: tuple[ManifestEntry, ...]
 
     def split_entries(self, split: str) -> list[ManifestEntry]:
@@ -467,16 +520,22 @@ def read_aol_csv(path) -> AolSequence:
 
 
 def write_rol_csv(seq: RolSequence, path) -> None:
-    rows = zip(seq.ranks.astype(float), seq.normalized.astype(float))
+    rows = zip(seq.ranks.astype(float), seq.normalized)
     write_csv(path, ["rank", "normalized"], rows, utterance_id=seq.utterance_id)
 
 
 def read_rol_csv(path) -> RolSequence:
+    """Read a ``rank,normalized`` file; a ``normalized`` cell other than its rank's exact value raises."""
     meta, header, rows = _read_csv_lines(path)
     if header != ["rank", "normalized"]:
         raise DataError(f"{path}: expected 'rank,normalized' columns")
     values = _parse_matrix(path, header, rows)
-    return RolSequence(meta.get("utterance_id", Path(path).stem), values[:, 0], values[:, 1])
+    rol = RolSequence(meta.get("utterance_id", Path(path).stem), values[:, 0])
+    wrong = np.flatnonzero(values[:, 1] != rol.normalized)
+    if wrong.size:
+        r = wrong[0]
+        raise DataError(f"{path}: row {r + 1} has normalized {values[r, 1]} but rank {values[r, 0]}")
+    return rol
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +544,7 @@ def read_rol_csv(path) -> RolSequence:
 
 
 def load_manifest(path) -> DatasetManifest:
-    """Load and structurally validate a dataset manifest.
+    """Load and validate a dataset manifest, its preprocessing and thresholds included.
 
     Referenced files are checked when they are actually opened, not here, so
     that training never has to touch (or even see) held-out split files.
@@ -517,19 +576,15 @@ def load_manifest(path) -> DatasetManifest:
         lo, hi = float(raw["value_range"][0]), float(raw["value_range"][1])
         if not lo < hi:
             raise DataError(f"{path}: value_range [{lo}, {hi}] must have low < high")
-        pre = raw["preprocessing"]
+        pre, th = raw["preprocessing"], raw["thresholds"]
         manifest = DatasetManifest(
             dataset_name=str(raw["dataset_name"]),
             dimension_name=str(raw["dimension_name"]),
             value_range=(lo, hi),
-            preprocessing=Preprocessing(
-                delay_s=float(pre["delay_s"]),
-                window_s=float(pre["window_s"]),
-                overlap=float(pre["overlap"]),
-            ),
-            thresholds=dict(raw["thresholds"]),
+            preprocessing=Preprocessing(pre["delay_s"], pre["window_s"], pre["overlap"]),
+            thresholds=ThresholdConfig(th["theta1"], th["theta2"], th.get("boundary_mode", "text-rule")),
             utterances=tuple(entries),
         )
-    except (KeyError, TypeError, IndexError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, IndexError, ValueError) as exc:
         raise DataError(f"{path}: malformed manifest: {exc!r}") from exc
     return manifest

@@ -47,7 +47,7 @@ from domm.core import (
     write_json,
 )
 from domm.decoder import StateLattice, framewise_argmax, viterbi_decode
-from domm.labels import ThresholdConfig, convert_annotation_set
+from domm.labels import convert_annotation_set
 from domm.metrics import DegenerateMarginalsError, kendall_tau, precision_at_k, uar, weighted_kappa
 from domm.omsvm import DIRECTIONS, state_posteriors, train_omsvm
 from domm.ranksvm import build_pairs, ranks_from_scores, train_ranksvm
@@ -120,15 +120,10 @@ def convert_labels(
     """Consensus labels and ranks for every utterance of the split."""
     if not is_positive(eps_tie, or_zero=True):
         raise DataError(f"eps_tie must be a number >= 0, got {eps_tie!r}")
-    entries = manifest.split_entries(split)
-    thresholds = ThresholdConfig.from_mapping(manifest.thresholds)
-    pre = manifest.preprocessing
     out = {}
-    for entry in entries:
+    for entry in manifest.split_entries(split):
         ann = parse_annotations(entry.annotations_path, manifest.value_range)
-        consensus, ranks, _ = convert_annotation_set(
-            ann, thresholds, pre.delay_s, pre.window_s, pre.overlap, eps_tie
-        )
+        consensus, ranks, _ = convert_annotation_set(ann, manifest.thresholds, manifest.preprocessing, eps_tie)
         out[entry.utterance_id] = (consensus, ranks)
     return out
 
@@ -214,7 +209,6 @@ def fit_bundle(features, labels, config: ExperimentConfig) -> ModelBundle:
         transitions=transitions,
         class_counts=np.bincount(label_vec, minlength=3),
         config_hash=config.config_hash(),
-        seed=config.seed,
     )
 
 
@@ -265,8 +259,7 @@ def decode_features(
             rol = truth_labels[uid][1]
             if len(rol) != len(frames):
                 raise DataError(f"{uid!r}: {len(frames)} feature frames but {len(rol)} truth ranks")
-        values = rol.normalized if bundle.transitions.use_normalized_ranks else rol.ranks
-        lattice = StateLattice(uid, post, np.diff(values))
+        lattice = StateLattice(uid, post, rol.deltas(bundle.transitions.use_normalized_ranks))
         pred_aols[uid] = viterbi_decode(lattice, bundle.transitions)
     return pred_aols, pred_rols
 
@@ -353,7 +346,6 @@ def make_report(folds: list[dict], config: ExperimentConfig) -> dict:
         "tool_version": __version__,
         "config": config.to_dict(),
         "config_hash": config.config_hash(),
-        "seed": config.seed,
         "folds": folds,
         "aggregate": _aggregate(folds),
     }

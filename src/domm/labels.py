@@ -17,16 +17,16 @@ from domm.core import (
     AnnotationSet,
     AolSequence,
     DataError,
+    Preprocessing,
     RolSequence,
+    ThresholdConfig,
     average_ranks,
-    checked_from_dict,
 )
 
 __all__ = [
     "DECREASE",
     "INCREASE",
     "SweepRow",
-    "ThresholdConfig",
     "TIE",
     "UNDECIDED",
     "comparison_matrix",
@@ -48,38 +48,9 @@ DECREASE = -1
 TIE = 0
 UNDECIDED = 2
 
-BOUNDARY_MODES = ("text-rule", "table-half-open")
-
 # convert builds the consensus this many rows at a time, so its memory is
 # O(R * BLOCK_ROWS * T) rather than O(R * T^2)
 BLOCK_ROWS = 256
-
-
-@dataclass(frozen=True)
-class ThresholdConfig:
-    """Two thresholds splitting the value range into Low / Medium / High.
-
-    ``text-rule``:       Low on (-inf, theta1], Medium on (theta1, theta2], High above.
-    ``table-half-open``: Low on [min, theta1), Medium on [theta1, theta2), High on [theta2, max].
-    """
-
-    theta1: float
-    theta2: float
-    boundary_mode: str = "text-rule"
-
-    def __post_init__(self):
-        if not self.theta1 < self.theta2:
-            raise DataError(f"thresholds must satisfy theta1 < theta2, got {self.theta1}, {self.theta2}")
-        if self.boundary_mode not in BOUNDARY_MODES:
-            raise DataError(f"unknown boundary_mode {self.boundary_mode!r}")
-
-    @checked_from_dict
-    def from_mapping(cls, m) -> "ThresholdConfig":
-        return cls(
-            theta1=float(m["theta1"]),
-            theta2=float(m["theta2"]),
-            boundary_mode=str(m.get("boundary_mode", "text-rule")),
-        )
 
 
 @dataclass(frozen=True)
@@ -89,23 +60,19 @@ class SweepRow:
     agreement: float
 
 
-def preprocess_annotations(
-    ann: AnnotationSet, delay_s: float, window_s: float, overlap: float
-) -> AnnotationSet:
+def preprocess_annotations(ann: AnnotationSet, pre: Preprocessing) -> AnnotationSet:
     """Delay-compensate and window-average every annotator series.
 
-    Each series is shifted earlier by round(delay_s / period) samples (the
-    shifted-out leading values disappear), then averaged within windows of
-    round(window_s / period) samples advanced by
-    round((1 - overlap) * window_s / period) samples; a trailing partial
-    window is discarded. The result's sampling period is one hop.
+    Each series is shifted earlier by round(pre.delay_s / period) samples
+    (the shifted-out leading values disappear), then averaged within windows
+    of round(pre.window_s / period) samples advanced by
+    round((1 - pre.overlap) * pre.window_s / period) samples; a trailing
+    partial window is discarded. The result's sampling period is one hop.
     """
-    if delay_s < 0 or window_s <= 0 or not (0 <= overlap < 1):
-        raise DataError("need delay_s >= 0, window_s > 0, 0 <= overlap < 1")
     period = ann.period_s
-    delay = int(np.rint(delay_s / period))
-    window = int(np.rint(window_s / period))
-    hop = int(np.rint((1.0 - overlap) * window_s / period))
+    delay = int(np.rint(pre.delay_s / period))
+    window = int(np.rint(pre.window_s / period))
+    hop = int(np.rint((1.0 - pre.overlap) * pre.window_s / period))
     if window < 1 or hop < 1:
         raise DataError("window and hop must round to at least one sample")
     shifted = ann.values[:, delay:]
@@ -138,9 +105,13 @@ def interval_to_aol(values, cfg: ThresholdConfig, utterance_id: str = "") -> Aol
     return AolSequence(utterance_id, labels)
 
 
-def _vote_counts(stack: np.ndarray) -> np.ndarray:
-    """Per-frame vote counts over the three states; stack is (R, T)."""
-    return np.stack([(stack == s).sum(axis=0) for s in range(3)], axis=1)
+def _votes(per_annotator: list[AolSequence]) -> tuple[np.ndarray, np.ndarray]:
+    """The (R, T) label stack of equal-length sequences and its per-frame counts of each state."""
+    lengths = {len(s) for s in per_annotator}
+    if len(lengths) != 1:
+        raise DataError(f"annotator sequences have mismatched lengths {sorted(lengths)}")
+    stack = np.stack([s.labels for s in per_annotator])
+    return stack, np.stack([(stack == s).sum(axis=0) for s in range(3)], axis=1)
 
 
 def consensus_aol(per_annotator: list[AolSequence]) -> AolSequence:
@@ -151,11 +122,7 @@ def consensus_aol(per_annotator: list[AolSequence]) -> AolSequence:
     """
     if not per_annotator:
         raise DataError("no annotator sequences")
-    lengths = {len(s) for s in per_annotator}
-    if len(lengths) != 1:
-        raise DataError(f"annotator sequences have mismatched lengths {sorted(lengths)}")
-    stack = np.stack([s.labels for s in per_annotator])
-    counts = _vote_counts(stack)
+    stack, counts = _votes(per_annotator)
     tied = counts == counts.max(axis=1, keepdims=True)
     # distance of each state code to the frame's mean code, among the tied codes only
     dist = np.where(tied, np.abs(np.arange(3) - stack.mean(axis=0)[:, None]), np.inf)
@@ -177,30 +144,26 @@ def inter_rater_agreement(per_annotator: list[AolSequence]) -> float:
     """Fraction of frames where strictly more than half of the annotators agree."""
     if len(per_annotator) < 2:
         raise DataError("agreement needs at least two annotators")
-    lengths = {len(s) for s in per_annotator}
-    if len(lengths) != 1:
-        raise DataError(f"annotator sequences have mismatched lengths {sorted(lengths)}")
-    stack = np.stack([s.labels for s in per_annotator])
-    counts = _vote_counts(stack)
+    stack, counts = _votes(per_annotator)
     return float(np.mean(counts.max(axis=1) > stack.shape[0] / 2.0))
 
 
 def sweep_thresholds(
     annotations: list[AnnotationSet],
     grid: list[ThresholdConfig],
-    preprocessing=None,
+    preprocessing: Preprocessing | None = None,
 ) -> list[SweepRow]:
     """Label balance (mean over annotators) and agreement for each threshold config.
 
-    ``preprocessing`` is an optional (delay_s, window_s, overlap) tuple applied
-    to every annotation set before conversion.
+    ``preprocessing``, when given, is applied to every annotation set before
+    conversion.
     """
     if not grid:
         raise DataError("empty threshold grid")
     if not annotations:
         raise DataError("no annotation sets")
     if preprocessing is not None:
-        annotations = [preprocess_annotations(a, *preprocessing) for a in annotations]
+        annotations = [preprocess_annotations(a, preprocessing) for a in annotations]
     counts = sorted({a.n_annotators for a in annotations})
     if len(counts) != 1:
         raise DataError(f"annotation sets have different annotator counts {counts}")
@@ -290,18 +253,14 @@ def ranks_from_consensus(blocks, utterance_id: str = "") -> RolSequence:
 
 
 def convert_annotation_set(
-    ann: AnnotationSet,
-    cfg: ThresholdConfig,
-    delay_s: float,
-    window_s: float,
-    overlap: float,
-    eps_tie: float = 0.0,
+    ann: AnnotationSet, cfg: ThresholdConfig, pre: Preprocessing, eps_tie: float = 0.0
 ) -> tuple[AolSequence, RolSequence, list[AolSequence]]:
     """Full conversion for one utterance: consensus labels, consensus ranks, per-annotator labels.
 
-    The consensus ranks are built BLOCK_ROWS comparison-matrix rows at a time.
+    The series are smoothed by ``pre``, labelled under ``cfg``, and the
+    consensus ranks are built BLOCK_ROWS comparison-matrix rows at a time.
     """
-    smoothed = preprocess_annotations(ann, delay_s, window_s, overlap)
+    smoothed = preprocess_annotations(ann, pre)
     per_annotator = [
         interval_to_aol(smoothed.values[r], cfg, ann.utterance_id)
         for r in range(smoothed.n_annotators)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from domm.core import DataError, checked_from_dict
+from domm.core import DataError, checked_from_dict, json_numbers
 
 __all__ = [
     "LinearModel",
@@ -66,10 +66,10 @@ class LinearModel:
     @checked_from_dict
     def from_dict(cls, d: dict) -> "LinearModel":
         return cls(
-            weights=np.asarray(d["weights"], dtype=float),
-            bias=float(d["bias"]),
-            mean=np.asarray(d["mean"], dtype=float),
-            std=np.asarray(d["std"], dtype=float),
+            weights=json_numbers(d["weights"]),
+            bias=float(json_numbers(d["bias"])),
+            mean=json_numbers(d["mean"]),
+            std=json_numbers(d["std"]),
         )
 
 
@@ -85,7 +85,7 @@ class PlattCalibration:
 
     @checked_from_dict
     def from_dict(cls, d: dict) -> "PlattCalibration":
-        return cls(a=float(d["a"]), b=float(d["b"]))
+        return cls(a=float(json_numbers(d["a"])), b=float(json_numbers(d["b"])))
 
 
 def _sigmoid(x):

@@ -112,13 +112,12 @@ def write_corpus(
     corpus: SynthCorpus,
     out_dir,
     thresholds: tuple[float, float] = (-0.215, 0.215),
-    boundary_mode: str = "text-rule",
-    dimension_name: str = "arousal",
 ) -> Path:
     """Write the corpus in the pipeline's CSV formats plus latent truth and manifest.
 
     The first half of the utterances is tagged ``train`` and the second half
-    ``test``. Returns the manifest path. Window length equals one frame (the
+    ``test``. The manifest's dimension is ``arousal`` and its boundary mode
+    ``text-rule``. Returns the manifest path. Window length equals one frame (the
     generator emits frame-aligned features and annotations), so conversion
     yields one label per frame.
     """
@@ -156,13 +155,13 @@ def write_corpus(
     write_csv(out / "latent.csv", ["utterance_id", "frame", "value"], latent_rows)
     manifest = {
         "dataset_name": "synthetic",
-        "dimension_name": dimension_name,
+        "dimension_name": "arousal",
         "value_range": [-1.0, 1.0],
         "preprocessing": {"delay_s": 0.0, "window_s": cfg.frame_period_s, "overlap": 0.0},
         "thresholds": {
             "theta1": thresholds[0],
             "theta2": thresholds[1],
-            "boundary_mode": boundary_mode,
+            "boundary_mode": "text-rule",
         },
         "synth_config": cfg.to_dict(),
         "utterances": entries,

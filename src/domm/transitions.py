@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from domm.core import AolSequence, DataError, RolSequence, checked_from_dict
+from domm.core import AolSequence, DataError, RolSequence, checked_from_dict, json_numbers
 
 __all__ = [
     "KdeModel",
@@ -60,7 +60,7 @@ class KdeModel:
 
     @checked_from_dict
     def from_dict(cls, d: dict) -> "KdeModel":
-        return cls(samples=np.asarray(d["samples"], dtype=float), bandwidth=float(d["bandwidth"]))
+        return cls(samples=json_numbers(d["samples"]), bandwidth=float(json_numbers(d["bandwidth"])))
 
 
 def silverman_bandwidth(samples: np.ndarray) -> float:
@@ -135,7 +135,7 @@ class TransitionModel:
     @checked_from_dict
     def from_dict(cls, d: dict) -> "TransitionModel":
         return cls(
-            prior=np.asarray(d["prior"], dtype=float),
+            prior=json_numbers(d["prior"]),
             conditional_kdes=tuple(
                 tuple(KdeModel.from_dict(k) for k in row) for row in d["conditional_kdes"]
             ),
@@ -171,10 +171,9 @@ def fit_transition_model(
             raise DataError(
                 f"misaligned label/rank sequences for {aol.utterance_id!r}/{rol.utterance_id!r}"
             )
-        values = rol.normalized if use_normalized_ranks else rol.ranks
         prev.append(aol.labels[:-1])
         cur.append(aol.labels[1:])
-        deltas.append(np.diff(values))
+        deltas.append(rol.deltas(use_normalized_ranks))
     if sum(d.size for d in deltas) == 0:
         raise DataError("no consecutive frame pairs in the training sequences")
     prev, cur, deltas = (np.concatenate(steps) for steps in (prev, cur, deltas))

@@ -33,6 +33,16 @@ def corpus_dir(tmp_path_factory):
     return root
 
 
+@pytest.fixture(scope="module")
+def domm_rs_bundle(corpus_dir, tmp_path_factory):
+    """A domm-rs bundle trained on the corpus's train split; tests read it, never write it."""
+    root = tmp_path_factory.mktemp("domm_rs")
+    labels = convert(corpus_dir, root / "labels")
+    result = run_cli("train", "--manifest", corpus_dir / "manifest.json", "--labels", labels, "--out", root)
+    assert result.exit_code == 0, result.output
+    return root / "model.json"
+
+
 def run_cli(*args):
     return CliRunner().invoke(main, [str(a) for a in args])
 
@@ -176,15 +186,18 @@ class TestConvert:
             assert result.exit_code == 2, (args, result.output)
             assert result.output.startswith("error:") and str(bad) in result.output
 
+    @pytest.mark.parametrize("command", ["convert", "train"])
     @pytest.mark.parametrize("thresholds", [{"theta2": 0.2}, {"theta1": "x", "theta2": 0.2}])
-    def test_malformed_thresholds_exit_2(self, corpus_dir, tmp_path, thresholds):
+    def test_malformed_thresholds_exit_2(self, corpus_dir, tmp_path, thresholds, command):
+        labels = convert(corpus_dir, tmp_path / "labels")
         manifest = relocatable_manifest(corpus_dir)
         manifest["thresholds"] = thresholds
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps(manifest))
-        result = run_cli("convert", "--manifest", path, "--out", tmp_path / "o")
+        extra = ("--labels", labels) if command == "train" else ()
+        result = run_cli(command, "--manifest", path, *extra, "--out", tmp_path / "o")
         assert result.exit_code == 2, result.output
-        assert result.output.startswith("error:") and "ThresholdConfig" in result.output
+        assert result.output.startswith("error:") and "theta1" in result.output
 
     def test_bad_period_metadata_exits_2(self, corpus_dir, tmp_path):
         manifest = with_edited_file(
@@ -200,6 +213,23 @@ class TestConvert:
         path.write_text(json.dumps(manifest))
         result = run_cli("convert", "--manifest", path, "--out", tmp_path / "o")
         assert_exit_2(result, "non-finite number NaN")
+
+    @pytest.mark.parametrize("command", ["convert", "train"])
+    @pytest.mark.parametrize(
+        "key, value",
+        [("delay_s", "0"), ("overlap", True), ("overlap", 1.0), ("window_s", 0.0)],
+        ids=["string-delay", "bool-overlap", "overlap-1", "zero-window"],
+    )
+    def test_bad_preprocessing_exits_2(self, corpus_dir, tmp_path, command, key, value):
+        labels = convert(corpus_dir, tmp_path / "labels")
+        manifest = relocatable_manifest(corpus_dir)
+        manifest["preprocessing"][key] = value
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        extra = ("--labels", labels) if command == "train" else ()
+        result = run_cli(command, "--manifest", path, *extra, "--out", tmp_path / "o")
+        assert_exit_2(result, f"Preprocessing {key} must be")
+        assert not (tmp_path / "o").exists()
 
     def test_rerun_is_byte_identical(self, corpus_dir, tmp_path):
         a = convert(corpus_dir, tmp_path / "a")
@@ -287,6 +317,33 @@ class TestTrain:
             (out / "model.json").write_text(json.dumps(raw))
             with pytest.raises(DataError, match=part):
                 load_model_bundle(out / "model.json")
+
+    def test_wrong_normalized_ranks_exit_2_in_train_and_decode(self, corpus_dir, tmp_path):
+        labels = convert(corpus_dir, tmp_path / "labels")
+        manifest = corpus_dir / "manifest.json"
+        model = tmp_path / "model"
+        result = run_cli(
+            "train", "--manifest", manifest, "--labels", labels, "--out", model, "--variant", "domm-gt"
+        )
+        assert result.exit_code == 0, result.output
+        bad = tmp_path / "bad_labels"
+        bad.mkdir()
+        for path in sorted(labels.glob("*.csv")):
+            text = path.read_text()
+            if path.name.endswith(".rol.csv"):
+                # the third data row's normalized cell halved: ranks stay a valid ranking
+                lines = text.splitlines()
+                rank, normalized = lines[4].split(",")
+                lines[4] = f"{rank},{float(normalized) / 2!r}"
+                text = "\n".join(lines) + "\n"
+            (bad / path.name).write_text(text)
+        for command, args in (
+            ("train", ("--out", tmp_path / "t2", "--variant", "domm-gt")),
+            ("decode", ("--bundle", model / "model.json", "--out", tmp_path / "pred")),
+        ):
+            result = run_cli(command, "--manifest", manifest, "--labels", bad, *args)
+            assert_exit_2(result, "row 3 has normalized")
+        assert not (tmp_path / "t2").exists() and not (tmp_path / "pred").exists()
 
     def test_mixed_feature_widths_exit_2_naming_both(self, corpus_dir, tmp_path):
         labels = convert(corpus_dir, tmp_path / "labels")
@@ -464,6 +521,38 @@ class TestDecode:
             "--out", tmp_path / "pred", "--config", cfg_path,
         )
         assert_exit_2(result, "class_counts")
+        assert not (tmp_path / "pred").exists()
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda raw: raw.update(format_version=str(FORMAT_VERSION)),
+            lambda raw: raw.update(format_version=FORMAT_VERSION + 0.9),
+            lambda raw: raw["ranksvm"].update(bias="0.5"),
+            lambda raw: raw["ranksvm"].update(bias=True),
+            lambda raw: raw["ranksvm"].update(weights=[str(w) for w in raw["ranksvm"]["weights"]]),
+            lambda raw: raw["omsvm"]["stages"][0]["platt"].update(a="-1.0"),
+            lambda raw: raw.update(class_counts=[2.7, 1, 1]),
+            lambda raw: raw.update(class_counts=["3", 1, 1]),
+            lambda raw: raw["transitions"]["conditional_kdes"][0][0].update(bandwidth="0.1"),
+            lambda raw: raw["transitions"].update(
+                prior=[[str(p) for p in row] for row in raw["transitions"]["prior"]]
+            ),
+        ],
+        ids=[
+            "version-string", "version-fraction", "bias-string", "bias-bool", "weights-strings",
+            "platt-string", "counts-fraction", "counts-string", "bandwidth-string", "prior-strings",
+        ],
+    )
+    def test_bundle_numbers_must_be_json_numbers(self, corpus_dir, tmp_path, domm_rs_bundle, edit):
+        raw = json.loads(domm_rs_bundle.read_text())
+        edit(raw)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(raw))
+        result = run_cli(
+            "decode", "--bundle", path, "--manifest", corpus_dir / "manifest.json", "--out", tmp_path / "pred"
+        )
+        assert_exit_2(result, "expected JSON")
         assert not (tmp_path / "pred").exists()
 
     def test_empty_split_exits_2(self, corpus_dir, tmp_path):
@@ -682,6 +771,34 @@ class TestSweepAndSynth:
         for line in lines[1:]:
             _, gamma, agreement = map(float, line.split(","))
             assert 0 <= gamma <= 1 and 0 <= agreement <= 1
+
+    def test_sweep_uses_the_manifest_boundary_mode(self, tmp_path):
+        (tmp_path / "f.csv").write_text("f0\n" + "0.0\n" * 5)
+        # three values sit exactly on theta2 = 0.5, which only table-half-open labels High
+        (tmp_path / "a.csv").write_text("#period_s=1.0\nr0,r1\n" + "0.5,0.5\n" * 3 + "0.0,0.0\n-0.9,-0.9\n")
+        gammas = {}
+        for mode in ("text-rule", "table-half-open"):
+            manifest = {
+                "dataset_name": "toy",
+                "dimension_name": "arousal",
+                "value_range": [-1.0, 1.0],
+                "preprocessing": {"delay_s": 0.0, "window_s": 1.0, "overlap": 0.0},
+                "thresholds": {"theta1": -0.5, "theta2": 0.5, "boundary_mode": mode},
+                "utterances": [{"utterance_id": "u", "features": "f.csv", "annotations": "a.csv", "split": "train"}],
+            }
+            path = tmp_path / f"{mode}.json"
+            path.write_text(json.dumps(manifest))
+            out = tmp_path / mode
+            result = run_cli(
+                "sweep", "--manifest", path, "--out", out,
+                "--theta2-min", 0.5, "--theta2-max", 0.5, "--theta2-step", 0.1,
+            )
+            assert result.exit_code == 0, result.output
+            [row] = (out / "sweep.csv").read_text().splitlines()[1:]
+            theta2, gammas[mode], agreement = map(float, row.split(","))
+            assert (theta2, agreement) == (0.5, 1.0)
+        # text-rule: 1 Low, 4 Medium, 0 High; table-half-open: 1 Low, 1 Medium, 3 High
+        assert gammas == {"text-rule": 0.8, "table-half-open": 0.4}
 
     def test_mixed_annotator_counts_exit_2(self, corpus_dir, tmp_path):
         def drop_last_column(text):

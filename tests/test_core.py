@@ -10,6 +10,7 @@ from domm.core import (
     average_ranks,
     canonical_json,
     format_float,
+    json_numbers,
     load_manifest,
     parse_annotations,
     parse_features,
@@ -123,8 +124,40 @@ def test_rol_sequence_rejects_non_ranking():
 def test_rol_sequence_rejects_non_finite_ranks(bad):
     with pytest.raises(DataError, match="non-finite"):
         RolSequence.from_ranks("u", [1.0, bad, 3.0])
-    with pytest.raises(DataError, match="non-finite"):
-        RolSequence("u", np.array([1.0, 2.0, 3.0]), np.array([0.0, bad, 1.0]))
+
+
+def test_rol_sequence_deltas_of_normalized_or_raw_ranks():
+    rol = RolSequence.from_ranks("u", [1.0, 5.0, 3.0, 2.0, 4.0])
+    np.testing.assert_array_equal(rol.deltas(normalized=True), np.diff(rol.normalized))
+    np.testing.assert_array_equal(rol.deltas(normalized=False), [4.0, -2.0, -1.0, 2.0])
+    assert RolSequence.from_ranks("u", [1.0]).deltas(normalized=True).size == 0
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [["1,0.0", "2,0.5", "3,0.5"], ["1,0.0", "2,0.5", "3,1.0000000000000002"], ["1,0.0"]],
+    ids=["wrong", "one-ulp-off", "singleton-not-0.5"],
+)
+def test_read_rol_csv_rejects_a_normalized_cell_its_rank_does_not_give(tmp_path, rows):
+    path = tmp_path / "r.rol.csv"
+    path.write_text("\n".join(["rank,normalized", *rows]) + "\n")
+    with pytest.raises(DataError, match=f"row {len(rows)} has normalized"):
+        read_rol_csv(path)
+
+
+def test_json_numbers_accepts_only_json_numbers():
+    nested = [[1, 0.5], [-2, 3e-300]]
+    out = json_numbers(nested)
+    assert out.dtype == float
+    np.testing.assert_array_equal(out, np.asarray(nested, dtype=float))
+    assert json_numbers([3, 1, 1], integral=True).tolist() == [3, 1, 1]
+    assert float(json_numbers(2)) == 2.0
+    for bad in ("0.5", True, None, [1.0, "2"], [1.0, False], [[1.0], [{}]]):
+        with pytest.raises(TypeError, match="expected JSON numbers"):
+            json_numbers(bad)
+    for bad in (4.0, [2.7, 1, 1], [True, 1, 1]):
+        with pytest.raises(TypeError, match="expected JSON integers"):
+            json_numbers(bad, integral=True)
 
 
 def test_aol_sequence_rejects_bad_codes():

@@ -5,7 +5,7 @@ import pytest
 
 from domm import experiment
 from domm.bundle import ModelBundle
-from domm.core import AolSequence, RolSequence, load_manifest
+from domm.core import AolSequence, Preprocessing, RolSequence, load_manifest
 from domm.experiment import (
     VARIANTS,
     ExperimentConfig,
@@ -30,7 +30,7 @@ def test_divide_by_prior_is_posterior_over_training_prior_renormalized():
         for _ in range(2)
     )
     counts = np.array([70, 20, 10])
-    bundle = ModelBundle(OmsvmModel(stages), None, None, counts, "hash", 0)
+    bundle = ModelBundle(OmsvmModel(stages), None, None, counts, "hash")
     frames = rng.normal(size=(50, 2))
     post = state_posteriors(bundle.omsvm, frames)
 
@@ -103,7 +103,11 @@ def long_utterance_peaks(n_frames: int) -> dict[str, float]:
         return result
 
     aol, rol, _ = measure(
-        "convert", convert_annotation_set, ann, ThresholdConfig(-0.215, 0.215), 0.0, corpus.config.frame_period_s, 0.0
+        "convert",
+        convert_annotation_set,
+        ann,
+        ThresholdConfig(-0.215, 0.215),
+        Preprocessing(0.0, corpus.config.frame_period_s, 0.0),
     )
     features = {uf.utterance_id: uf.frames}
     bundle = measure("fit", fit_bundle, features, {uf.utterance_id: (aol, rol)}, config)

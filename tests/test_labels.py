@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from domm.core import AnnotationSet, AolSequence, DataError
+from domm.core import AnnotationSet, AolSequence, DataError, Preprocessing
 from domm.labels import (
     BLOCK_ROWS,
     DECREASE,
@@ -50,7 +50,7 @@ class TestPreprocess:
         rng = np.random.default_rng(0)
         series = rng.uniform(-1, 1, 100)
         ann = make_annotations([series], period=0.04)
-        out = preprocess_annotations(ann, delay_s=0.0, window_s=1.0, overlap=0.52)
+        out = preprocess_annotations(ann, Preprocessing(0.0, 1.0, 0.52))
         assert out.n_samples == 7
         # independent enumeration oracle
         expected = [series[s : s + 25].mean() for s in range(0, 100 - 25 + 1, 12)]
@@ -59,41 +59,41 @@ class TestPreprocess:
     def test_whole_series_window_is_global_mean(self):
         series = np.linspace(-0.5, 0.5, 40)
         ann = make_annotations([series], period=1.0)
-        out = preprocess_annotations(ann, delay_s=0.0, window_s=40.0, overlap=0.0)
+        out = preprocess_annotations(ann, Preprocessing(0.0, 40.0, 0.0))
         assert out.n_samples == 1
         np.testing.assert_allclose(out.values[0, 0], series.mean())
 
     def test_constant_series_stays_constant(self):
         ann = make_annotations([np.full(50, 0.3)], period=1.0)
-        out = preprocess_annotations(ann, delay_s=3.0, window_s=5.0, overlap=0.5)
+        out = preprocess_annotations(ann, Preprocessing(3.0, 5.0, 0.5))
         np.testing.assert_allclose(out.values, 0.3)
 
     def test_delay_drops_leading_samples(self):
         series = np.arange(10) / 10.0
         ann = make_annotations([series], period=1.0)
-        out = preprocess_annotations(ann, delay_s=4.0, window_s=1.0, overlap=0.0)
+        out = preprocess_annotations(ann, Preprocessing(4.0, 1.0, 0.0))
         np.testing.assert_allclose(out.values[0], series[4:])
 
     def test_window_longer_than_series_errors(self):
         ann = make_annotations([np.zeros(10)], period=1.0)
         with pytest.raises(DataError, match="exceeds"):
-            preprocess_annotations(ann, delay_s=5.0, window_s=6.0, overlap=0.0)
+            preprocess_annotations(ann, Preprocessing(5.0, 6.0, 0.0))
 
     def test_commutes_with_constant_shift(self):
         rng = np.random.default_rng(1)
         series = rng.uniform(-0.4, 0.4, 80)
         base = preprocess_annotations(
-            make_annotations([series], period=0.5), 2.0, 4.0, 0.25
+            make_annotations([series], period=0.5), Preprocessing(2.0, 4.0, 0.25)
         )
         shifted = preprocess_annotations(
-            make_annotations([series + 0.1], period=0.5), 2.0, 4.0, 0.25
+            make_annotations([series + 0.1], period=0.5), Preprocessing(2.0, 4.0, 0.25)
         )
         np.testing.assert_allclose(shifted.values, base.values + 0.1, atol=1e-12)
 
     def test_five_minute_trace_window_count(self):
         # 5-minute trace at 40 ms, 4 s delay, 1 s windows, 50% overlap -> 615 windows
         ann = make_annotations([np.zeros(7500)], period=0.04)
-        out = preprocess_annotations(ann, delay_s=4.0, window_s=1.0, overlap=0.5)
+        out = preprocess_annotations(ann, Preprocessing(4.0, 1.0, 0.5))
         assert out.n_samples == 615
 
 
@@ -311,8 +311,9 @@ def test_convert_annotation_set_end_to_end():
     series = [np.clip(base + rng.normal(scale=0.02, size=60), -1, 1) for _ in range(5)]
     ann = make_annotations(series)
     cfg = ThresholdConfig(-0.3, 0.3)
-    consensus, ranks, per_annotator = convert_annotation_set(ann, cfg, 0.0, 0.2, 0.0, eps_tie=0.01)
-    smoothed = preprocess_annotations(ann, 0.0, 0.2, 0.0).values
+    pre = Preprocessing(0.0, 0.2, 0.0)
+    consensus, ranks, per_annotator = convert_annotation_set(ann, cfg, pre, eps_tie=0.01)
+    smoothed = preprocess_annotations(ann, pre).values
     np.testing.assert_array_equal(ranks.ranks, dense_consensus_ranks(smoothed, 0.01))
     np.testing.assert_array_equal(
         consensus.labels, consensus_aol([interval_to_aol(v, cfg) for v in smoothed]).labels
@@ -334,7 +335,7 @@ def test_convert_annotation_set_end_to_end():
 def test_blocked_ranks_equal_dense_consensus(n_annotators, n_frames, steps, eps_tie, seed):
     values = tied_series(seed, n_annotators, n_frames, steps)
     ann = make_annotations(values, period=1.0)
-    _, ranks, _ = convert_annotation_set(ann, ThresholdConfig(-0.3, 0.3), 0.0, 1.0, 0.0, eps_tie)
+    _, ranks, _ = convert_annotation_set(ann, ThresholdConfig(-0.3, 0.3), Preprocessing(0.0, 1.0, 0.0), eps_tie)
     np.testing.assert_array_equal(ranks.ranks, dense_consensus_ranks(values, eps_tie))
 
 
@@ -344,7 +345,7 @@ def test_convert_peak_memory_under_40mb_at_3000_frames():
     ann = make_annotations(tied_series(13, 6, 3000, steps=20), period=1.0)
     tracemalloc.start()
     try:
-        convert_annotation_set(ann, ThresholdConfig(-0.3, 0.3), 0.0, 1.0, 0.0, 0.01)
+        convert_annotation_set(ann, ThresholdConfig(-0.3, 0.3), Preprocessing(0.0, 1.0, 0.0), 0.01)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
