@@ -35,6 +35,8 @@ class ModelBundle:
     def __post_init__(self):
         if self.class_counts.shape != (3,) or np.any(self.class_counts < 1):
             raise DataError("bundle class_counts must hold one positive count per state")
+        if not isinstance(self.config_hash, str):
+            raise DataError(f"bundle config_hash must be a string, got {self.config_hash!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -58,7 +60,7 @@ class ModelBundle:
             ranker=LinearModel.from_dict(d["ranksvm"]) if d["ranksvm"] is not None else None,
             transitions=TransitionModel.from_dict(d["transitions"]) if d["transitions"] is not None else None,
             class_counts=json_numbers(d["class_counts"], integral=True),
-            config_hash=str(d["provenance"]["config_hash"]),
+            config_hash=d["provenance"]["config_hash"],
         )
 
 

@@ -70,9 +70,19 @@ def preprocess_annotations(ann: AnnotationSet, pre: Preprocessing) -> Annotation
     partial window is discarded. The result's sampling period is one hop.
     """
     period = ann.period_s
-    delay = int(np.rint(pre.delay_s / period))
-    window = int(np.rint(pre.window_s / period))
-    hop = int(np.rint((1.0 - pre.overlap) * pre.window_s / period))
+    n_samples = ann.values.shape[1]
+
+    def samples(seconds, name):
+        count = np.rint(seconds / period)
+        if not count <= n_samples:  # also rejects inf and nan before int() can raise
+            raise DataError(
+                f"{ann.utterance_id}: {name} of {seconds} s spans more than the series of {n_samples} samples"
+            )
+        return int(count)
+
+    delay = samples(pre.delay_s, "delay")
+    window = samples(pre.window_s, "window")
+    hop = samples((1.0 - pre.overlap) * pre.window_s, "hop")
     if window < 1 or hop < 1:
         raise DataError("window and hop must round to at least one sample")
     shifted = ann.values[:, delay:]

@@ -91,7 +91,8 @@ def train_ranksvm(features, pairs: np.ndarray, c: float = 1e-4, *, standardizati
         standardization = fit_standardization(x)
     mean, std = standardization
     scaled = (x - mean) / std
-    diffs = scaled[pairs[:, 0]] - scaled[pairs[:, 1]]
+    diffs = scaled[pairs[:, 0]]
+    diffs -= scaled[pairs[:, 1]]  # in place, so one gathered temporary whether or not numpy elides it
     params, _ = newton_squared_hinge(diffs, np.ones(diffs.shape[0]), c, fit_bias=False)
     return LinearModel(weights=params, bias=0.0, mean=mean, std=std)
 

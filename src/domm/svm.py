@@ -4,10 +4,16 @@ Training minimizes the L2-regularized squared hinge loss
 
     0.5 * ||w||^2 + c * sum_i max(0, 1 - y_i * (w . x_i + b))^2
 
-in the primal with a damped Newton method (generalized Hessian on the set of
-margin violators, backtracking line search). The bias is an appended
-constant-1 input excluded from regularization. Everything is deterministic:
-zero initialization, no randomness.
+in the primal with a damped Newton method (Chapelle 2007: generalized Hessian
+on the set of margin violators, backtracking line search). The bias is an
+appended constant-1 input excluded from regularization. Everything is
+deterministic: zero initialization, no randomness.
+
+Each iterate is evaluated once. The evaluation that accepts a step also
+returns that iterate's violator rows, and the next Newton step builds its
+Hessian from them instead of recomputing the scores. The solver drops those
+rows before its line search, so it holds at most one copy of them next to
+the inputs.
 """
 
 from __future__ import annotations
@@ -104,11 +110,13 @@ def fit_standardization(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def objective_and_gradient(params, inputs, targets, c, fit_bias=True):
-    """Squared-hinge objective and its gradient at ``params``.
+    """Squared-hinge objective, its gradient and the violator rows at ``params``.
 
     ``params`` is the weight vector with the (unregularized) bias appended
     when ``fit_bias``. Inputs are taken as-is; standardization is the
-    trainer's job.
+    trainer's job. The third value is ``inputs[active]``, the rows with a
+    positive margin violation, which the gradient already copies and the
+    Newton step reuses for its Hessian.
     """
     params = np.asarray(params, dtype=float)
     if fit_bias:
@@ -121,10 +129,11 @@ def objective_and_gradient(params, inputs, targets, c, fit_bias=True):
     viol = margins[active]
     obj = 0.5 * (w @ w) + c * (viol @ viol)
     coef = -2.0 * c * targets[active] * viol
-    grad_w = w + inputs[active].T @ coef
+    rows = inputs[active]
+    grad_w = w + rows.T @ coef
     if fit_bias:
-        return obj, np.concatenate([grad_w, [coef.sum()]])
-    return obj, grad_w
+        return obj, np.concatenate([grad_w, [coef.sum()]]), rows
+    return obj, grad_w, rows
 
 
 def newton_squared_hinge(inputs, targets, c, fit_bias=True):
@@ -144,17 +153,15 @@ def newton_squared_hinge(inputs, targets, c, fit_bias=True):
     if fit_bias:
         reg_diag[-1] = 0.0
 
-    obj, grad = objective_and_gradient(params, inputs, targets, c, fit_bias)
+    obj, grad, rows = objective_and_gradient(params, inputs, targets, c, fit_bias)
     trace = [obj]
     for _ in range(MAX_NEWTON_STEPS):
         if np.linalg.norm(grad) <= GRAD_TOL:
             break
-        scores = inputs @ (params[:-1] if fit_bias else params) + (params[-1] if fit_bias else 0.0)
-        active = (1.0 - targets * scores) > 0.0
-        x_active = inputs[active]
         if fit_bias:
-            x_active = np.hstack([x_active, np.ones((x_active.shape[0], 1))])
-        hess = np.diag(reg_diag) + 2.0 * c * (x_active.T @ x_active)
+            rows = np.hstack([rows, np.ones((rows.shape[0], 1))])
+        hess = np.diag(reg_diag) + 2.0 * c * (rows.T @ rows)
+        rows = None  # each line-search evaluation copies its own violators
         hess[np.diag_indices_from(hess)] += 1e-10  # keeps the bias block solvable when no violators remain
         direction = np.linalg.solve(hess, -grad)
         slope = grad @ direction
@@ -162,10 +169,11 @@ def newton_squared_hinge(inputs, targets, c, fit_bias=True):
         accepted = False
         for _ in range(MAX_BACKTRACKS + 1):
             candidate = params + step * direction
-            new_obj, new_grad = objective_and_gradient(candidate, inputs, targets, c, fit_bias)
+            new_obj, new_grad, rows = objective_and_gradient(candidate, inputs, targets, c, fit_bias)
             if new_obj <= obj + 1e-4 * step * slope:
                 accepted = True
                 break
+            rows = None  # freed before the next candidate copies its own
             step *= 0.5
         if not accepted or new_obj >= obj:
             break

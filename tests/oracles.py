@@ -137,3 +137,70 @@ def dense_kde_density(model: KdeModel, delta):
     dens = np.exp(-0.5 * u * u).sum(axis=-1) / (model.samples.size * model.bandwidth * SQRT_2PI)
     out = np.maximum(dens, DENSITY_FLOOR)
     return float(out) if out.ndim == 0 else out
+
+
+def two_pass_newton(inputs, targets, c, fit_bias=True):
+    """The squared-hinge Newton solve that scores each accepted iterate twice; the oracle for ``newton_squared_hinge``.
+
+    The line search evaluates the objective and gradient at each candidate.
+    The next step then recomputes the accepted iterate's scores and copies
+    its violators again to build the Hessian, while the line search copies
+    its own. Returns (params, objective trace, number of objective
+    evaluations).
+    """
+    from domm.svm import GRAD_TOL, MAX_BACKTRACKS, MAX_NEWTON_STEPS
+
+    def objective_and_gradient(params):
+        if fit_bias:
+            w, b = params[:-1], params[-1]
+        else:
+            w, b = params, 0.0
+        scores = inputs @ w + b
+        margins = 1.0 - targets * scores
+        active = margins > 0.0
+        viol = margins[active]
+        obj = 0.5 * (w @ w) + c * (viol @ viol)
+        coef = -2.0 * c * targets[active] * viol
+        grad_w = w + inputs[active].T @ coef
+        if fit_bias:
+            return obj, np.concatenate([grad_w, [coef.sum()]])
+        return obj, grad_w
+
+    inputs = np.asarray(inputs, dtype=float)
+    targets = np.asarray(targets, dtype=float)
+    n_params = inputs.shape[1] + (1 if fit_bias else 0)
+    params = np.zeros(n_params)
+    reg_diag = np.ones(n_params)
+    if fit_bias:
+        reg_diag[-1] = 0.0
+
+    obj, grad = objective_and_gradient(params)
+    evaluations = 1
+    trace = [obj]
+    for _ in range(MAX_NEWTON_STEPS):
+        if np.linalg.norm(grad) <= GRAD_TOL:
+            break
+        scores = inputs @ (params[:-1] if fit_bias else params) + (params[-1] if fit_bias else 0.0)
+        active = (1.0 - targets * scores) > 0.0
+        x_active = inputs[active]
+        if fit_bias:
+            x_active = np.hstack([x_active, np.ones((x_active.shape[0], 1))])
+        hess = np.diag(reg_diag) + 2.0 * c * (x_active.T @ x_active)
+        hess[np.diag_indices_from(hess)] += 1e-10
+        direction = np.linalg.solve(hess, -grad)
+        slope = grad @ direction
+        step = 1.0
+        accepted = False
+        for _ in range(MAX_BACKTRACKS + 1):
+            candidate = params + step * direction
+            new_obj, new_grad = objective_and_gradient(candidate)
+            evaluations += 1
+            if new_obj <= obj + 1e-4 * step * slope:
+                accepted = True
+                break
+            step *= 0.5
+        if not accepted or new_obj >= obj:
+            break
+        params, obj, grad = candidate, new_obj, new_grad
+        trace.append(obj)
+    return params, trace, evaluations

@@ -224,7 +224,7 @@ def test_criterion_5_solver_correctness():
         targets = np.where(rng.random(60) > 0.5, 1.0, -1.0)
         for _ in range(10):
             params = rng.normal(size=6 + fit_bias)
-            _, grad = objective_and_gradient(params, inputs, targets, 0.41, fit_bias)
+            _, grad, _ = objective_and_gradient(params, inputs, targets, 0.41, fit_bias)
             fd = finite_difference(params, inputs, targets, 0.41, fit_bias)
             ok &= np.linalg.norm(grad - fd) / max(np.linalg.norm(fd), 1.0) < 1e-5
 

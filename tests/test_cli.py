@@ -214,6 +214,17 @@ class TestConvert:
         result = run_cli("convert", "--manifest", path, "--out", tmp_path / "o")
         assert_exit_2(result, "non-finite number NaN")
 
+    @pytest.mark.parametrize("key", ["delay_s", "window_s"])
+    def test_huge_preprocessing_span_exits_2(self, corpus_dir, tmp_path, key):
+        """1e308 s divided by the sampling period overflows to inf, which int() refused with OverflowError."""
+        manifest = relocatable_manifest(corpus_dir)
+        manifest["preprocessing"][key] = 1e308
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        result = run_cli("convert", "--manifest", path, "--out", tmp_path / "o")
+        assert_exit_2(result, "spans more than the series")
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("command", ["convert", "train"])
     @pytest.mark.parametrize(
         "key, value",
@@ -553,6 +564,17 @@ class TestDecode:
             "decode", "--bundle", path, "--manifest", corpus_dir / "manifest.json", "--out", tmp_path / "pred"
         )
         assert_exit_2(result, "expected JSON")
+        assert not (tmp_path / "pred").exists()
+
+    def test_non_string_config_hash_exits_2(self, corpus_dir, tmp_path, domm_rs_bundle):
+        raw = json.loads(domm_rs_bundle.read_text())
+        raw["provenance"]["config_hash"] = [1, 2]
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(raw))
+        result = run_cli(
+            "decode", "--bundle", path, "--manifest", corpus_dir / "manifest.json", "--out", tmp_path / "pred"
+        )
+        assert_exit_2(result, "config_hash must be a string")
         assert not (tmp_path / "pred").exists()
 
     def test_empty_split_exits_2(self, corpus_dir, tmp_path):

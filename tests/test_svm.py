@@ -17,6 +17,8 @@ from domm.svm import (
     train_binary,
 )
 from domm.svm import _sigmoid
+from domm import svm
+from oracles import two_pass_newton
 
 
 def finite_difference_gradient(params, inputs, targets, c, fit_bias, h=1e-6):
@@ -26,8 +28,8 @@ def finite_difference_gradient(params, inputs, targets, c, fit_bias, h=1e-6):
         down = params.copy()
         up[k] += h
         down[k] -= h
-        f_up, _ = objective_and_gradient(up, inputs, targets, c, fit_bias)
-        f_down, _ = objective_and_gradient(down, inputs, targets, c, fit_bias)
+        f_up, _, _ = objective_and_gradient(up, inputs, targets, c, fit_bias)
+        f_down, _, _ = objective_and_gradient(down, inputs, targets, c, fit_bias)
         grad[k] = (f_up - f_down) / (2 * h)
     return grad
 
@@ -40,7 +42,7 @@ def test_gradient_matches_finite_differences(fit_bias):
     c = 0.37
     for _ in range(10):
         params = rng.normal(size=5 + (1 if fit_bias else 0))
-        _, grad = objective_and_gradient(params, inputs, targets, c, fit_bias)
+        _, grad, _ = objective_and_gradient(params, inputs, targets, c, fit_bias)
         fd = finite_difference_gradient(params, inputs, targets, c, fit_bias)
         scale = max(np.linalg.norm(fd), 1.0)
         assert np.linalg.norm(grad - fd) / scale < 1e-5
@@ -64,6 +66,65 @@ def test_newton_stops_at_first_step_that_does_not_lower_the_objective():
     y = np.sign(x[:, 0] + rng.normal(size=20000))
     _, trace = newton_squared_hinge(x, y, c=1.0)
     assert all(b < a for a, b in zip(trace, trace[1:]))
+
+
+def separable(seed, fit_bias):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(40, 5))
+    return x, np.where(x @ rng.normal(size=5) > 0, 1.0, -1.0), 100.0, fit_bias
+
+
+def flat_noisy_problem():
+    # flattens with the gradient norm above GRAD_TOL, so the solve stops on a step that does not lower the objective
+    rng = np.random.default_rng(9)
+    x = rng.normal(size=(5000, 10))
+    return x, np.sign(x[:, 0] + rng.normal(size=5000)), 1.0, True
+
+
+def one_class_on_zero_inputs():
+    # the first Newton step puts the bias at exactly 1, so every margin is 0 and no violator remains
+    return np.zeros((6, 3)), np.ones(6), 1e6, True
+
+
+NEWTON_CASES = {
+    "bias": separable(0, True),
+    "no-bias": separable(0, False),
+    "backtracks": separable(1, True),
+    "non-decreasing-stop": flat_noisy_problem(),
+    "no-violators": one_class_on_zero_inputs(),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NEWTON_CASES))
+def test_newton_is_bitwise_the_two_pass_oracle_with_one_evaluation_per_iterate(monkeypatch, case):
+    inputs, targets, c, fit_bias = NEWTON_CASES[case]
+    evaluate = svm.objective_and_gradient
+    calls = []
+
+    def counted(params, *args):
+        result = evaluate(params, *args)
+        calls.append((params.tobytes(), result[2].shape[0]))
+        return result
+
+    monkeypatch.setattr(svm, "objective_and_gradient", counted)
+    params, trace = svm.newton_squared_hinge(inputs, targets, c, fit_bias)
+    want_params, want_trace, want_evaluations = two_pass_newton(inputs, targets, c, fit_bias)
+
+    assert params.tobytes() == want_params.tobytes()
+    assert np.array(trace).tobytes() == np.array(want_trace).tobytes()
+    assert len(calls) == want_evaluations
+    # every point is evaluated once: the accepted iterate is not scored again to build the Hessian
+    assert len({point for point, _ in calls}) == len(calls)
+    rejected = len(calls) - len(trace)
+    final_grad = np.linalg.norm(evaluate(params, inputs, targets, c, fit_bias)[1])
+    if case == "backtracks":
+        assert rejected > 0 and final_grad <= svm.GRAD_TOL
+    elif case == "non-decreasing-stop":
+        assert rejected > 0 and final_grad > svm.GRAD_TOL and len(trace) < svm.MAX_NEWTON_STEPS + 1
+    else:
+        assert rejected == 0
+    if case == "no-violators":
+        assert calls[-1][1] == 0 and trace[-1] == 0.0
 
 
 def test_separable_1d_reaches_full_accuracy():
