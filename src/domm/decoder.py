@@ -44,6 +44,8 @@ class StateLattice:
             raise DataError(f"{self.utterance_id}: posteriors must be T x 3 with T >= 1")
         if self.deltas.shape != (t - 1,):
             raise DataError(f"{self.utterance_id}: need exactly T-1 rank differences")
+        if not np.all(np.isfinite(self.deltas)):
+            raise DataError(f"{self.utterance_id}: rank differences must be finite")
         rows = self.posteriors.sum(axis=1)
         if np.any(self.posteriors < 0) or np.max(np.abs(rows - 1.0)) > 1e-6:
             raise DataError(f"{self.utterance_id}: posterior rows must be distributions")

@@ -122,6 +122,12 @@ class TestViterbi:
         with pytest.raises(DataError):
             StateLattice("u", np.empty((0, 3)), np.empty(0))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rank_difference_rejected(self, bad):
+        post = np.full((3, 3), 1.0 / 3.0)
+        with pytest.raises(DataError, match="finite"):
+            StateLattice("u", post, np.array([0.1, bad]))
+
 
 class TestBruteForce:
     def test_limit_guard(self):

@@ -3,12 +3,19 @@ import tracemalloc
 import numpy as np
 import pytest
 from dataclasses import replace
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import rankdata
 
-from domm.core import AolSequence, DataError, RolSequence
+from domm.core import AolSequence, DataError, RolSequence, load_manifest
+from domm.experiment import convert_labels
+from domm.synth import SynthConfig, generate_corpus, write_corpus
 from domm.transitions import (
+    BANDWIDTH_FLOOR,
     DENSITY_FLOOR,
+    EXP_UNDERFLOW,
     KDE_BLOCK_CELLS,
+    KdeModel,
     fit_kde,
     fit_transition_model,
     kde_density,
@@ -56,6 +63,78 @@ class TestBlockedKdeEqualsDense:
         assert np.shape(got) == np.shape(want)
         assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("normalized", [True, False], ids=["normalized", "raw"])
+    def test_bit_identical_on_rank_difference_lattice(self, normalized):
+        """Differences of tied-average ranks repeat; queried on and off their lattice."""
+        rng = np.random.default_rng(23)
+        walk = np.cumsum(rng.integers(-2, 3, 900))  # a tied, slowly moving trace
+        rol = RolSequence.from_ranks("u", rankdata(walk, method="average"))
+        samples = rol.deltas(normalized)
+        assert np.unique(samples).size < samples.size / 2
+        model = fit_kde(samples)
+        query = np.concatenate([samples[:700], rng.uniform(-1.5, 1.5, 300) * np.abs(samples).max()])
+        assert np.array_equal(kde_density(model, query), dense_kde_density(model, query))
+
+    def test_bit_identical_where_kernels_are_subnormal_or_zero(self):
+        """Floor bandwidth, queries 37-40 bandwidths away: kernels from exp(-685) to exact zeros."""
+        rng = np.random.default_rng(29)
+        samples = np.round(rng.normal(scale=0.002, size=400), 4)
+        model = fit_kde(samples, bandwidth=BANDWIDTH_FLOOR)
+        query = np.concatenate([samples.min() - np.linspace(0.037, 0.04, 500), [samples.max() + 0.0381]])
+        a = -0.5 * ((query[:, None] - samples) / BANDWIDTH_FLOOR) ** 2
+        assert np.any(a <= EXP_UNDERFLOW) and np.any((a > EXP_UNDERFLOW) & (a < -708.4))
+        assert np.array_equal(kde_density(model, query), dense_kde_density(model, query))
+
+    def test_subnormal_kernels_count_above_the_floor(self):
+        """At a 1e-305 bandwidth a sum of subnormal kernels is a density far above DENSITY_FLOOR."""
+        h = 1e-305
+        model = KdeModel(samples=np.array([0.0, 0.0, 5 * h, -3 * h]), bandwidth=h)
+        query = h * np.linspace(42.7, 43.6, 301)
+        a = -0.5 * ((query[:, None] - model.samples) / h) ** 2
+        assert np.all(a < -708.4)  # every kernel is subnormal or zero
+        got = kde_density(model, query)
+        assert np.array_equal(got, dense_kde_density(model, query))
+        assert np.any(got > 1e3 * DENSITY_FLOOR)
+
+    def test_bit_identical_at_the_underflow_cut(self):
+        """-746 itself is no value of -0.5*u*u (u*u never rounds to 1492); these two u straddle it."""
+        below = 38.626415831655926
+        above = np.nextafter(below, np.inf)
+        assert -0.5 * below * below > EXP_UNDERFLOW >= -0.5 * above * above
+        model = KdeModel(samples=np.array([0.0, 0.0, 1.0, -2.0]), bandwidth=1.0)
+        query = np.array([below, above, -below, -above, 1.0 + below, 1.0 - above, 2.0])
+        assert np.array_equal(kde_density(model, query), dense_kde_density(model, query))
+
+    @pytest.mark.parametrize("normalized", [True, False], ids=["normalized", "raw"])
+    def test_transition_matrices_on_synth_corpus(self, tmp_path, normalized):
+        cfg = SynthConfig(n_utterances=4, frames_per_utterance=250, feature_dim=2, n_annotators=3, seed=5)
+        labels = convert_labels(load_manifest(write_corpus(generate_corpus(cfg), tmp_path)))
+        aols, rols = zip(*labels.values())
+        model = fit_transition_model(aols, rols, use_normalized_ranks=normalized)
+        deltas = np.concatenate([rol.deltas(normalized) for rol in rols])
+        want = np.empty((deltas.size, 3, 3))
+        for i in range(3):
+            for j in range(3):
+                want[:, i, j] = dense_kde_density(model.conditional_kdes[i][j], deltas) * model.prior[i, j]
+        want /= want.sum(axis=2, keepdims=True)
+        assert np.array_equal(transition_matrices(model, deltas), want)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        # integer numerators over one denominator: duplicated samples, like rank differences
+        numerators=st.lists(st.integers(-40, 40), min_size=1, max_size=300),
+        denominator=st.sampled_from([1, 7, 40, 613]),
+        bandwidth=st.one_of(
+            st.sampled_from([BANDWIDTH_FLOOR, "silverman"]),
+            st.floats(1e-4, 10.0),
+        ),
+        queries=st.lists(st.floats(-2.0, 2.0), max_size=80),
+    )
+    def test_property_bit_identical(self, numerators, denominator, bandwidth, queries):
+        model = fit_kde(np.array(numerators) / denominator, bandwidth)
+        query = np.array(queries) * max(1.0, np.abs(model.samples).max())
+        assert np.array_equal(kde_density(model, query), dense_kde_density(model, query))
+
     def test_peak_memory_under_5mb(self):
         """A 3000 x 12000 float64 matrix alone is 288 MB; the dense form took 864 MB."""
         rng = np.random.default_rng(21)
@@ -70,7 +149,24 @@ class TestBlockedKdeEqualsDense:
         assert peak < 5e6
 
 
+def test_exp_is_exactly_zero_at_and_below_the_cut():
+    """The lanes kde_density skips are exactly those where exp would give +0.0."""
+    below = np.concatenate([[EXP_UNDERFLOW, np.nextafter(EXP_UNDERFLOW, -np.inf), -np.inf],
+                            np.linspace(EXP_UNDERFLOW, -1e5, 10_001)])
+    out = np.exp(below)
+    assert np.all(out == 0.0) and not np.any(np.signbit(out))
+    assert np.exp(-745.0) > 0.0
+
+
 class TestKde:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query_raises(self, bad):
+        model = fit_kde([0.0, 0.5, 0.5])
+        with pytest.raises(DataError, match="non-finite"):
+            kde_density(model, bad)
+        with pytest.raises(DataError, match="non-finite"):
+            kde_density(model, np.array([0.1, bad, 0.2]))
+
     def test_single_sample_forced_bandwidth_peak(self):
         model = fit_kde([0.0], bandwidth=1.0)
         assert kde_density(model, 0.0) == pytest.approx(1.0 / np.sqrt(2 * np.pi))
