@@ -3,8 +3,9 @@
 Bundles round-trip byte-identically: saving the same trained state twice
 produces identical files, and loading then saving reproduces the original
 bytes. The KDEs serialize as their raw samples and bandwidths, so a bundle
-is self-contained. A bundle with a missing, mistyped or inconsistent part
-fails to load with DataError.
+is self-contained. The feature z-score that the classifier and the ranker
+both score in is stored once, and ``standardize`` applies it. A bundle with
+a missing, mistyped or inconsistent part fails to load with DataError.
 """
 
 from __future__ import annotations
@@ -16,12 +17,12 @@ import numpy as np
 
 from domm.core import DataError, canonical_json, checked_from_dict, json_numbers, read_json
 from domm.omsvm import OmsvmModel
-from domm.svm import LinearModel
+from domm.svm import LinearModel, check_width
 from domm.transitions import TransitionModel
 
 __all__ = ["FORMAT_VERSION", "ModelBundle", "load_model_bundle", "save_model_bundle"]
 
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 
 @dataclass(frozen=True)
@@ -31,12 +32,25 @@ class ModelBundle:
     transitions: TransitionModel | None
     class_counts: np.ndarray
     config_hash: str
+    mean: np.ndarray
+    std: np.ndarray
 
     def __post_init__(self):
         if self.class_counts.shape != (3,) or np.any(self.class_counts < 1):
             raise DataError("bundle class_counts must hold one positive count per state")
         if not isinstance(self.config_hash, str):
             raise DataError(f"bundle config_hash must be a string, got {self.config_hash!r}")
+        models = [m for m, _ in self.omsvm.stage_models] + ([self.ranker] if self.ranker is not None else [])
+        if not all(self.mean.shape == self.std.shape == m.weights.shape for m in models):
+            raise DataError("bundle standardization must hold one mean and std per model weight")
+        if not (np.all(np.isfinite(self.mean)) and np.all(self.std > 0)):
+            raise DataError("bundle standardization must be finite with positive std")
+
+    def standardize(self, frames) -> np.ndarray:
+        """A z-scored copy of the T x D ``frames``; raises DataError on another width D."""
+        x = np.atleast_2d(np.asarray(frames, dtype=float))
+        check_width(x, self.mean.size)
+        return (x - self.mean) / self.std
 
     def to_dict(self) -> dict:
         return {
@@ -46,6 +60,7 @@ class ModelBundle:
             "transitions": self.transitions.to_dict() if self.transitions is not None else None,
             "class_counts": self.class_counts.tolist(),
             "provenance": {"config_hash": self.config_hash},
+            "standardization": {"mean": self.mean.tolist(), "std": self.std.tolist()},
         }
 
     @checked_from_dict
@@ -61,6 +76,8 @@ class ModelBundle:
             transitions=TransitionModel.from_dict(d["transitions"]) if d["transitions"] is not None else None,
             class_counts=json_numbers(d["class_counts"], integral=True),
             config_hash=d["provenance"]["config_hash"],
+            mean=json_numbers(d["standardization"]["mean"]),
+            std=json_numbers(d["standardization"]["std"]),
         )
 
 

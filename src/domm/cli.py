@@ -26,6 +26,7 @@ from domm.core import (
     DataError,
     ThresholdConfig,
     load_manifest,
+    output_dir,
     parse_annotations,
     read_aol_csv,
     read_json,
@@ -104,8 +105,7 @@ def convert(manifest_path, out_dir, split, eps_tie):
     """Convert interval annotations to consensus label and rank files."""
     manifest = load_manifest(manifest_path)
     labels = convert_labels(manifest, split, eps_tie=eps_tie)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = output_dir(out_dir)
     for uid in sorted(labels):
         aol, rol = labels[uid]
         write_aol_csv(aol, out / f"{uid}.aol.csv")
@@ -146,8 +146,7 @@ def sweep(manifest_path, out_dir, theta2_min, theta2_max, theta2_step, theta_sum
         for t2 in (theta2_min + k * theta2_step for k in range(n_steps))
     ]
     rows = sweep_thresholds(annotations, grid, manifest.preprocessing)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = output_dir(out_dir)
     write_csv(
         out / "sweep.csv",
         ["theta2", "gamma_mean", "agreement"],
@@ -171,8 +170,9 @@ def synth(out_dir, config_path, seed, utterances, frames, theta):
         SynthConfig, config_path, seed=seed, n_utterances=utterances, frames_per_utterance=frames
     )
     corpus = generate_corpus(cfg)
-    manifest_path = write_corpus(corpus, out_dir, thresholds=(-theta, theta))
-    _write_run_record(Path(out_dir), cfg)
+    out = output_dir(out_dir)
+    manifest_path = write_corpus(corpus, out, thresholds=(-theta, theta))
+    _write_run_record(out, cfg)
     click.echo(f"wrote corpus manifest {manifest_path}")
 
 
@@ -192,8 +192,7 @@ def train(manifest_path, labels_dir, out_dir, config_path, seed, variant, split)
     entries = manifest.split_entries(split)
     labels = load_labels_dir(labels_dir, entries)
     bundle = fit_bundle(load_features(entries), labels, config)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = output_dir(out_dir)
     save_model_bundle(bundle, out / "model.json")
     _write_run_record(out, config)
     click.echo(f"trained {config.variant} bundle -> {out / 'model.json'}")
@@ -215,8 +214,7 @@ def decode(bundle_path, manifest_path, out_dir, labels_dir, config_path, split):
     entries = manifest.split_entries(split)
     truth = load_labels_dir(labels_dir, entries) if labels_dir is not None else None
     pred_aols, pred_rols = decode_entries(bundle, entries, config, truth)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = output_dir(out_dir)
     for uid in sorted(pred_aols):
         write_aol_csv(pred_aols[uid], out / f"{uid}.aol.csv")
     for uid in sorted(pred_rols):
@@ -252,8 +250,7 @@ def eval_cmd(manifest_path, pred_dir, labels_dir, out_dir, split, config_path):
             pred_rols[uid] = read_rol_csv(rol_path)
     fold = evaluate_fold(split, pred_aols, pred_rols, truth)
     report = make_report([fold], config)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = output_dir(out_dir)
     write_report(report, out)
     _write_run_record(out, config)
     click.echo(
@@ -273,8 +270,7 @@ def xval(manifest_path, out_dir, config_path, seed, variant):
     """Cross-validate over the manifest's fold tags."""
     manifest = load_manifest(manifest_path)
     config = _load_config(ExperimentConfig, config_path, seed=seed, variant=variant)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = output_dir(out_dir)
     report = run_xval(manifest, config, out)
     write_report(report, out)
     _write_run_record(out, config)

@@ -39,6 +39,7 @@ __all__ = [
     "is_positive",
     "json_numbers",
     "load_manifest",
+    "output_dir",
     "parse_annotations",
     "parse_features",
     "read_aol_csv",
@@ -214,12 +215,9 @@ class RolSequence:
             raise DataError(f"{self.utterance_id}: ranks must be non-empty 1-D")
         if not np.all(np.isfinite(self.ranks)):
             raise DataError(f"{self.utterance_id}: ranks contain non-finite values")
-        expected = t * (t + 1) / 2.0
-        if abs(self.ranks.sum() - expected) > 1e-6 * max(expected, 1.0):
-            raise DataError(
-                f"{self.utterance_id}: ranks are not a tied-average ranking "
-                f"(sum {self.ranks.sum()} != {expected})"
-            )
+        # exact: tied-average ranks are halves, so re-ranking returns the same floats
+        if not np.array_equal(self.ranks, average_ranks(self.ranks)):
+            raise DataError(f"{self.utterance_id}: ranks are not a tied-average ranking of 1..{t}")
 
     @classmethod
     def from_ranks(cls, utterance_id: str, ranks) -> "RolSequence":
@@ -371,6 +369,16 @@ def canonical_json(obj) -> str:
 
 def write_json(path, obj) -> None:
     Path(path).write_text(canonical_json(obj) + "\n", encoding="ascii")
+
+
+def output_dir(path) -> Path:
+    """``path`` as a directory, created with its parents if missing; DataError if it cannot be one."""
+    path = Path(path)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise DataError(f"cannot use {path} as an output directory ({exc.strerror})") from exc
+    return path
 
 
 def _finite_float(text: str) -> float:
@@ -548,6 +556,8 @@ def load_manifest(path) -> DatasetManifest:
 
     Referenced files are checked when they are actually opened, not here, so
     that training never has to touch (or even see) held-out split files.
+    Ids name label files and tags name ``fold_<tag>`` directories, so each must
+    be a plain file name: not empty, ``.`` or ``..``, and free of ``/``, ``\\`` and NUL.
     """
     path = Path(path)
     raw = read_json(path, "manifest")
@@ -558,8 +568,9 @@ def load_manifest(path) -> DatasetManifest:
         for item in raw["utterances"]:
             uid = str(item["utterance_id"])
             split = str(item["split"])
-            if not split:
-                raise DataError(f"{path}: empty split tag for utterance {uid!r}")
+            for what, name in (("utterance id", uid), ("split tag", split)):
+                if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
+                    raise DataError(f"{path}: {what} {name!r} is not a plain file name")
             if uid in seen_ids:
                 raise DataError(f"{path}: duplicate utterance id {uid!r}")
             seen_ids.add(uid)

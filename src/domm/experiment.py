@@ -39,6 +39,7 @@ from domm.core import (
     RolSequence,
     format_float,
     is_positive,
+    output_dir,
     parse_annotations,
     parse_features,
     read_aol_csv,
@@ -178,22 +179,22 @@ def _check_frame_counts(features, labels) -> None:
 
 
 def fit_bundle(features, labels, config: ExperimentConfig) -> ModelBundle:
-    """Train the variant's components on the given utterances' frames and labels."""
+    """Train the variant's components on the given utterances' frames and labels, z-scored once."""
     if not features:
         raise DataError("empty training split")
     _check_frame_counts(features, labels)
-    x = np.vstack(list(features.values()))
+    x = np.vstack(list(features.values()), dtype=float)  # a copy, so z-scored in place
+    mean, std = fit_standardization(x)
+    x -= mean
+    x /= std
     aols = [labels[uid][0] for uid in features]
     rols = [labels[uid][1] for uid in features]
     label_vec = np.concatenate([a.labels for a in aols])
-    standardization = fit_standardization(x)
-    omsvm = train_omsvm(
-        x, label_vec, config.svm_c, direction=config.direction, standardization=standardization
-    )
+    omsvm = train_omsvm(x, label_vec, config.svm_c, direction=config.direction)
     ranker = None
     if config.variant == "domm-rs":
         pairs = build_pairs(rols, seed=config.seed)
-        ranker = train_ranksvm(x, pairs, config.rank_c, standardization=standardization)
+        ranker = train_ranksvm(x, pairs, config.rank_c)
     transitions = None
     if config.variant != "omsvm-only":
         transitions = fit_transition_model(
@@ -209,6 +210,8 @@ def fit_bundle(features, labels, config: ExperimentConfig) -> ModelBundle:
         transitions=transitions,
         class_counts=np.bincount(label_vec, minlength=3),
         config_hash=config.config_hash(),
+        mean=mean,
+        std=std,
     )
 
 
@@ -234,19 +237,21 @@ def decode_features(
 ) -> tuple[dict[str, AolSequence], dict[str, RolSequence]]:
     """Decode each utterance's frames; the bundle's components select the variant.
 
-    Without a transition model decoding is the framewise posterior argmax.
-    With one, rank differences come from the ranker when present, otherwise
-    from ``truth_labels`` (the upper-bound variant).
+    The bundle z-scores each utterance's frames once, for the classifier and
+    the ranker. Without a transition model decoding is the framewise
+    posterior argmax. With one, rank differences come from the ranker when
+    present, otherwise from ``truth_labels`` (the upper-bound variant).
     """
     if not features:
         raise DataError("empty decode split")
     pred_aols: dict[str, AolSequence] = {}
     pred_rols: dict[str, RolSequence] = {}
     for uid, frames in features.items():
-        post = _adjusted_posteriors(bundle, frames, config.divide_by_prior)
+        z = bundle.standardize(frames)
+        post = _adjusted_posteriors(bundle, z, config.divide_by_prior)
         rol = None
         if bundle.ranker is not None:
-            rol = ranks_from_scores(decision_values(bundle.ranker, frames), uid)
+            rol = ranks_from_scores(decision_values(bundle.ranker, z), uid)
             pred_rols[uid] = rol
         if bundle.transitions is None:
             pred_aols[uid] = framewise_argmax(post, uid)
@@ -421,8 +426,6 @@ def run_xval(
             results.append({"fold": fold, "skipped": True, "reason": str(exc)})
             continue
         if out_dir is not None:
-            fold_dir = Path(out_dir) / f"fold_{fold}"
-            fold_dir.mkdir(parents=True, exist_ok=True)
-            save_model_bundle(bundle, fold_dir / "model.json")
+            save_model_bundle(bundle, output_dir(Path(out_dir) / f"fold_{fold}") / "model.json")
         results.append(result)
     return make_report(results, config)

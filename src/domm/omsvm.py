@@ -24,7 +24,6 @@ from domm.svm import (
     PlattCalibration,
     decision_values,
     fit_platt,
-    fit_standardization,
     platt_probability,
     train_binary,
 )
@@ -70,7 +69,7 @@ class OmsvmModel:
         )
 
 
-def _cross_fit_scores(features, targets, c, standardization, final_model):
+def _cross_fit_scores(features, targets, c, final_model):
     """Out-of-fold decision values via a stratified 3-fold split.
 
     Falls back to in-sample scores when a class is too small to survive the
@@ -88,9 +87,7 @@ def _cross_fit_scores(features, targets, c, standardization, final_model):
         held = fold == k
         if not np.any(held):
             continue
-        sub = train_binary(
-            features[~held], targets[~held], c, standardization=standardization
-        )
+        sub = train_binary(features[~held], targets[~held], c)
         scores[held] = decision_values(sub, features[held])
     return scores
 
@@ -101,7 +98,6 @@ def train_omsvm(
     c: float = 1e-4,
     *,
     direction: str = "forward",
-    standardization=None,
 ) -> OmsvmModel:
     """Train both ordinal stages with calibration; needs all three classes present."""
     x = np.asarray(features, dtype=float)
@@ -111,8 +107,6 @@ def train_omsvm(
     present = set(np.unique(y))
     if present != {0, 1, 2}:
         raise MissingClassError(f"training data must contain all three states, found {sorted(present)}")
-    if standardization is None:
-        standardization = fit_standardization(x)
 
     first = AolState.LOW if direction == "forward" else AolState.HIGH
     stage_defs = [
@@ -123,8 +117,8 @@ def train_omsvm(
     for mask, positive in stage_defs:
         stage_x = x[mask]
         stage_y = np.where(positive[mask], 1.0, -1.0)
-        model = train_binary(stage_x, stage_y, c, standardization=standardization)
-        scores = _cross_fit_scores(stage_x, stage_y, c, standardization, model)
+        model = train_binary(stage_x, stage_y, c)
+        scores = _cross_fit_scores(stage_x, stage_y, c, model)
         stages.append((model, fit_platt(scores, stage_y)))
     return OmsvmModel(stage_models=tuple(stages), direction=direction)
 

@@ -2,7 +2,7 @@
 
 Pairs are built strictly within each utterance (ranks are only defined
 relative to the frames of one utterance); ties contribute no pair. Training
-minimizes the squared hinge over standardized feature differences
+minimizes the squared hinge over feature differences
 
     0.5 * ||w||^2 + c * sum_p max(0, 1 - w . (x_pref - x_other))^2
 
@@ -17,7 +17,7 @@ import numpy as np
 
 from domm.core import DataError, RolSequence, average_ranks
 from domm.labels import BLOCK_ROWS
-from domm.svm import LinearModel, fit_standardization, newton_squared_hinge
+from domm.svm import LinearModel, newton_squared_hinge
 
 __all__ = [
     "PAIR_CAP",
@@ -77,7 +77,7 @@ def build_pairs(rols: list[RolSequence], cap: int = PAIR_CAP, seed: int = 0) -> 
     return pairs
 
 
-def train_ranksvm(features, pairs: np.ndarray, c: float = 1e-4, *, standardization=None) -> LinearModel:
+def train_ranksvm(features, pairs: np.ndarray, c: float = 1e-4) -> LinearModel:
     """Fit the ranking hyperplane on preference-pair feature differences (bias fixed at 0)."""
     x = np.asarray(features, dtype=float)
     pairs = np.asarray(pairs, dtype=int)
@@ -87,14 +87,10 @@ def train_ranksvm(features, pairs: np.ndarray, c: float = 1e-4, *, standardizati
         raise DataError("pairs must be a P x 2 index array")
     if not np.all(np.isfinite(x)):
         raise DataError("training features contain non-finite values")
-    if standardization is None:
-        standardization = fit_standardization(x)
-    mean, std = standardization
-    scaled = (x - mean) / std
-    diffs = scaled[pairs[:, 0]]
-    diffs -= scaled[pairs[:, 1]]  # in place, so one gathered temporary whether or not numpy elides it
+    diffs = x[pairs[:, 0]]
+    diffs -= x[pairs[:, 1]]  # in place, so one gathered temporary whether or not numpy elides it
     params, _ = newton_squared_hinge(diffs, np.ones(diffs.shape[0]), c, fit_bias=False)
-    return LinearModel(weights=params, bias=0.0, mean=mean, std=std)
+    return LinearModel(weights=params, bias=0.0)
 
 
 def ranks_from_scores(scores, utterance_id: str = "") -> RolSequence:

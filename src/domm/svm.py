@@ -14,6 +14,8 @@ returns that iterate's violator rows, and the next Newton step builds its
 Hessian from them instead of recomputing the scores. The solver drops those
 rows before its line search, so it holds at most one copy of them next to
 the inputs.
+
+Models train and score on features as given: the pipeline z-scores them first.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from domm.core import DataError, checked_from_dict, json_numbers
 __all__ = [
     "LinearModel",
     "PlattCalibration",
+    "check_width",
     "decision_values",
     "fit_platt",
     "fit_standardization",
@@ -43,40 +46,23 @@ MAX_BACKTRACKS = 30
 
 @dataclass(frozen=True)
 class LinearModel:
-    """Linear scorer with baked-in z-score standardization of inputs."""
+    """Affine scorer ``x @ weights + bias`` on frames standardized by the caller."""
 
     weights: np.ndarray
     bias: float
-    mean: np.ndarray
-    std: np.ndarray
 
     def __post_init__(self):
-        if not (self.weights.ndim == 1 and self.mean.shape == self.std.shape == self.weights.shape):
-            raise DataError("LinearModel weights, mean and std must be equal-length vectors")
-        if not (
-            np.all(np.isfinite(self.weights))
-            and np.isfinite(self.bias)
-            and np.all(np.isfinite(self.mean))
-            and np.all(self.std > 0)
-        ):
-            raise DataError("LinearModel parameters must be finite with positive std")
+        if self.weights.ndim != 1:
+            raise DataError("LinearModel weights must be a vector")
+        if not (np.all(np.isfinite(self.weights)) and np.isfinite(self.bias)):
+            raise DataError("LinearModel parameters must be finite")
 
     def to_dict(self) -> dict:
-        return {
-            "weights": self.weights.tolist(),
-            "bias": float(self.bias),
-            "mean": self.mean.tolist(),
-            "std": self.std.tolist(),
-        }
+        return {"weights": self.weights.tolist(), "bias": float(self.bias)}
 
     @checked_from_dict
     def from_dict(cls, d: dict) -> "LinearModel":
-        return cls(
-            weights=json_numbers(d["weights"]),
-            bias=float(json_numbers(d["bias"])),
-            mean=json_numbers(d["mean"]),
-            std=json_numbers(d["std"]),
-        )
+        return cls(weights=json_numbers(d["weights"]), bias=float(json_numbers(d["bias"])))
 
 
 @dataclass(frozen=True)
@@ -113,10 +99,9 @@ def objective_and_gradient(params, inputs, targets, c, fit_bias=True):
     """Squared-hinge objective, its gradient and the violator rows at ``params``.
 
     ``params`` is the weight vector with the (unregularized) bias appended
-    when ``fit_bias``. Inputs are taken as-is; standardization is the
-    trainer's job. The third value is ``inputs[active]``, the rows with a
-    positive margin violation, which the gradient already copies and the
-    Newton step reuses for its Hessian.
+    when ``fit_bias``. Inputs are taken as-is. The third value is
+    ``inputs[active]``, the rows with a positive margin violation, which the
+    gradient already copies and the Newton step reuses for its Hessian.
     """
     params = np.asarray(params, dtype=float)
     if fit_bias:
@@ -182,12 +167,8 @@ def newton_squared_hinge(inputs, targets, c, fit_bias=True):
     return params, trace
 
 
-def train_binary(features, labels, c=1e-4, *, standardization=None) -> LinearModel:
-    """Train a linear binary classifier on +/-1 labels.
-
-    ``standardization`` may supply precomputed (mean, std) so several models
-    can share one scaling; otherwise stats are fit on ``features``.
-    """
+def train_binary(features, labels, c=1e-4) -> LinearModel:
+    """Train a linear binary classifier on +/-1 labels, on the features as given."""
     x = np.asarray(features, dtype=float)
     y = np.asarray(labels, dtype=float)
     if x.ndim != 2 or x.shape[0] != y.size:
@@ -202,21 +183,20 @@ def train_binary(features, labels, c=1e-4, *, standardization=None) -> LinearMod
         raise DataError("training data contains a single class")
     if not c > 0:
         raise DataError("regularization weight c must be positive")
-    if standardization is None:
-        mean, std = fit_standardization(x)
-    else:
-        mean, std = standardization
-    params, _ = newton_squared_hinge((x - mean) / std, y, c, fit_bias=True)
-    return LinearModel(weights=params[:-1], bias=float(params[-1]), mean=mean, std=std)
+    params, _ = newton_squared_hinge(x, y, c, fit_bias=True)
+    return LinearModel(weights=params[:-1], bias=float(params[-1]))
+
+
+def check_width(frames, width: int) -> None:
+    """Raise DataError unless ``frames`` has ``width`` features per frame."""
+    if frames.shape[1] != width:
+        raise DataError(f"feature dimension {frames.shape[1]} does not match model dimension {width}")
 
 
 def decision_values(model: LinearModel, features) -> np.ndarray:
     x = np.atleast_2d(np.asarray(features, dtype=float))
-    if x.shape[1] != model.weights.size:
-        raise DataError(
-            f"feature dimension {x.shape[1]} does not match model dimension {model.weights.size}"
-        )
-    return ((x - model.mean) / model.std) @ model.weights + model.bias
+    check_width(x, model.weights.size)
+    return x @ model.weights + model.bias
 
 
 def fit_platt(scores, labels) -> PlattCalibration:

@@ -319,7 +319,8 @@ class TestTrain:
         for mutate, part in (
             (lambda raw: raw["transitions"].update(use_normalized_ranks="false"), "use_normalized_ranks"),
             (lambda raw: raw["omsvm"]["stages"][0]["platt"].update(a="x"), "PlattCalibration"),
-            (lambda raw: raw["ranksvm"].update(mean=[0.0]), "LinearModel"),
+            (lambda raw: raw["standardization"].update(mean=[0.0]), "standardization"),
+            (lambda raw: raw["ranksvm"].update(bias="0.5"), "LinearModel"),
             (lambda raw: raw["transitions"]["marginal_kdes"].pop(), "transition model"),
             (lambda raw: raw.pop("class_counts"), "class_counts"),
         ):
@@ -444,7 +445,7 @@ class TestDecode:
         manifest = load_manifest(corpus_dir / "manifest.json")
         for entry in manifest.split_entries("test"):
             frames = parse_features(entry.features_path).frames
-            expected = np.argmax(state_posteriors(bundle.omsvm, frames), axis=1)
+            expected = np.argmax(state_posteriors(bundle.omsvm, bundle.standardize(frames)), axis=1)
             got = read_aol_csv(pred / f"{entry.utterance_id}.aol.csv").labels
             np.testing.assert_array_equal(got, expected)
         assert not list(pred.glob("*.rol.csv"))
@@ -602,6 +603,41 @@ class TestDecode:
         )
         assert result.exit_code == 0, result.output
         assert sorted(parsed_files) == split_files(corpus_dir, "test")
+
+    def test_features_of_another_width_exit_2_naming_the_dimension(
+        self, corpus_dir, tmp_path, domm_rs_bundle
+    ):
+        manifest = relocatable_manifest(corpus_dir)
+        for entry in manifest["utterances"]:
+            narrow = tmp_path / Path(entry["features"]).name
+            narrow.write_text(without_last_column(Path(entry["features"]).read_text()))
+            entry["features"] = str(narrow)
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        result = run_cli(
+            "decode", "--bundle", domm_rs_bundle, "--manifest", tmp_path / "manifest.json",
+            "--out", tmp_path / "pred",
+        )
+        assert_exit_2(result, "feature dimension 5 does not match model dimension 6")
+        assert not (tmp_path / "pred").exists()
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda block: block.update(mean=block["mean"][:-1], std=block["std"][:-1]),
+            lambda block: block.update(std=block["std"][:-1]),
+        ],
+        ids=["both-shorter", "std-shorter"],
+    )
+    def test_standardization_of_another_length_exits_2(self, corpus_dir, tmp_path, domm_rs_bundle, edit):
+        raw = json.loads(domm_rs_bundle.read_text())
+        edit(raw["standardization"])
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(raw))
+        result = run_cli(
+            "decode", "--bundle", path, "--manifest", corpus_dir / "manifest.json", "--out", tmp_path / "pred"
+        )
+        assert_exit_2(result, "standardization")
+        assert not (tmp_path / "pred").exists()
 
     @pytest.mark.parametrize("command", ["decode", "eval"])
     def test_seed_option_is_gone(self, command):
@@ -769,6 +805,13 @@ class TestXval:
         result = run_cli("xval", "--manifest", manifest, "--out", tmp_path / "out")
         assert_exit_2(result, fragment)
 
+    def test_file_in_place_of_a_fold_directory_exits_2(self, corpus_dir, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "fold_test").write_text("a file\n")
+        result = run_cli("xval", "--manifest", corpus_dir / "manifest.json", "--out", out)
+        assert_exit_2(result, f"cannot use {out / 'fold_test'} as an output directory")
+
     def test_duplicate_utterance_id_fails_before_training(self, corpus_dir, tmp_path):
         manifest = json.loads((corpus_dir / "manifest.json").read_text())
         manifest["utterances"].append(dict(manifest["utterances"][0]))
@@ -863,6 +906,56 @@ class TestSweepAndSynth:
         assert len(manifest.utterances) == 4
         assert (out / "latent.csv").exists()
         assert (out / "run.json").exists()
+
+
+class TestManifestNames:
+    """Utterance ids name label files and split tags name fold directories."""
+
+    def manifest_with(self, corpus_dir, tmp_path, **first_entry) -> Path:
+        manifest = relocatable_manifest(corpus_dir)
+        manifest["utterances"][0].update(first_entry)
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        return path
+
+    def test_utterance_id_with_a_slash_exits_2(self, corpus_dir, tmp_path):
+        manifest = self.manifest_with(corpus_dir, tmp_path, utterance_id="sub/utt")
+        result = run_cli("convert", "--manifest", manifest, "--out", tmp_path / "labels")
+        assert_exit_2(result, "utterance id 'sub/utt' is not a plain file name")
+        assert not (tmp_path / "labels").exists()
+
+    def test_utterance_id_with_a_nul_exits_2(self, corpus_dir, tmp_path):
+        manifest = self.manifest_with(corpus_dir, tmp_path, utterance_id="utt\0x")
+        result = run_cli("convert", "--manifest", manifest, "--out", tmp_path / "labels")
+        assert_exit_2(result, "is not a plain file name")
+        assert not (tmp_path / "labels").exists()
+
+    def test_split_tag_climbing_out_of_out_exits_2(self, corpus_dir, tmp_path):
+        manifest = self.manifest_with(corpus_dir, tmp_path, split="a/../../../esc")
+        out = tmp_path / "x" / "out"
+        result = run_cli("xval", "--manifest", manifest, "--out", out)
+        assert_exit_2(result, "split tag 'a/../../../esc' is not a plain file name")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json"]
+
+
+@pytest.mark.parametrize("command", ["convert", "sweep", "synth", "train", "decode", "eval", "xval"])
+def test_out_set_to_a_file_exits_2(corpus_dir, domm_rs_bundle, tmp_path, command):
+    manifest = corpus_dir / "manifest.json"
+    labels = domm_rs_bundle.parent / "labels"
+    args = {
+        "convert": ["--manifest", manifest],
+        "sweep": ["--manifest", manifest],
+        "synth": ["--utterances", 2, "--frames", 20],
+        "train": ["--manifest", manifest, "--labels", labels],
+        "decode": ["--bundle", domm_rs_bundle, "--manifest", manifest],
+        "eval": ["--manifest", manifest, "--pred", labels, "--labels", labels],
+        "xval": ["--manifest", manifest],
+    }[command]
+    out = tmp_path / "taken"
+    out.write_text("a file\n")
+    result = run_cli(command, *args, "--out", out)
+    assert_exit_2(result, f"cannot use {out} as an output directory")
+    assert out.read_text() == "a file\n"
 
 
 def test_cli_import_loads_no_scipy():

@@ -116,8 +116,10 @@ def test_average_ranks_equal_scipy_rankdata_bit_for_bit(n):
 
 
 def test_rol_sequence_rejects_non_ranking():
-    with pytest.raises(DataError, match="tied-average"):
-        RolSequence.from_ranks("u", [1.0, 1.0, 1.0])
+    # all but the first have the sum of a ranking of their length
+    for ranks in ([1.0, 1.0, 1.0], [-5.0, 5.5, 5.5], [0.5, 2.5, 3.0], [1.0, 1.0, 4.0], [1.5, 1.5, 2.0, 5.0]):
+        with pytest.raises(DataError, match="tied-average"):
+            RolSequence.from_ranks("u", ranks)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -280,6 +282,19 @@ def test_load_manifest_duplicate_id(tmp_path):
     raw["utterances"][1]["utterance_id"] = "u0"
     path.write_text(json.dumps(raw))
     with pytest.raises(DataError, match="duplicate"):
+        load_manifest(path)
+
+
+@pytest.mark.parametrize("key", ["utterance_id", "split"])
+@pytest.mark.parametrize("name", ["", ".", "..", "a/b", "a\\b", "a\0b"])
+def test_load_manifest_rejects_names_that_are_not_plain_file_names(tmp_path, key, name):
+    path = _write_minimal_manifest(tmp_path)
+    import json
+
+    raw = json.loads(path.read_text())
+    raw["utterances"][1][key] = name
+    path.write_text(json.dumps(raw))
+    with pytest.raises(DataError, match="is not a plain file name"):
         load_manifest(path)
 
 

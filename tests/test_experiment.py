@@ -26,11 +26,11 @@ from domm.synth import SynthConfig, generate_corpus, write_corpus
 def test_divide_by_prior_is_posterior_over_training_prior_renormalized():
     rng = np.random.default_rng(5)
     stages = tuple(
-        (LinearModel(rng.normal(size=2), 0.1, np.zeros(2), np.ones(2)), PlattCalibration(-1.5, 0.2))
+        (LinearModel(rng.normal(size=2), 0.1), PlattCalibration(-1.5, 0.2))
         for _ in range(2)
     )
     counts = np.array([70, 20, 10])
-    bundle = ModelBundle(OmsvmModel(stages), None, None, counts, "hash")
+    bundle = ModelBundle(OmsvmModel(stages), None, None, counts, "hash", np.zeros(2), np.ones(2))
     frames = rng.normal(size=(50, 2))
     post = state_posteriors(bundle.omsvm, frames)
 

@@ -74,3 +74,28 @@ def test_feature_files_are_parsed_only_through_load_features():
         path.stem for path in PACKAGE.glob("*.py") if "parse_features" in bound_names(ast.parse(path.read_text()))
     )
     assert binders == ["__init__", "core", "experiment"]
+
+
+def test_standardization_is_decided_in_experiment_and_bundle_only():
+    """``svm`` defines the z-score fit and ``experiment`` calls it; models take z-scored frames."""
+    import inspect
+    from dataclasses import fields
+    from importlib import import_module
+
+    from domm.svm import LinearModel
+
+    binders = sorted(
+        path.stem
+        for path in PACKAGE.glob("*.py")
+        if "fit_standardization" in bound_names(ast.parse(path.read_text()))
+    )
+    assert binders == ["experiment", "svm"]
+    takers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = import_module("domm" if path.stem == "__init__" else f"domm.{path.stem}")
+        for name in exported_names(ast.parse(path.read_text())):
+            fn = getattr(module, name)
+            if inspect.isfunction(fn) and "standardization" in inspect.signature(fn).parameters:
+                takers.append(f"{path.stem}.{name}")
+    assert takers == []
+    assert [f.name for f in fields(LinearModel)] == ["weights", "bias"]

@@ -67,8 +67,8 @@ class TestPosteriors:
         from domm.svm import LinearModel, PlattCalibration
 
         # engineered so p1 and p2 are exactly the sigmoid of fixed scores
-        m1 = LinearModel(np.zeros(1), 0.0, np.zeros(1), np.ones(1))
-        m2 = LinearModel(np.zeros(1), 0.0, np.zeros(1), np.ones(1))
+        m1 = LinearModel(np.zeros(1), 0.0)
+        m2 = LinearModel(np.zeros(1), 0.0)
         # a=0, b=+-log: p = 1/(1+exp(b))
         p1, p2 = 0.6, 0.5
         cal1 = PlattCalibration(0.0, float(np.log(1 / p1 - 1)))
@@ -80,7 +80,7 @@ class TestPosteriors:
     def test_degenerate_stage_probability(self):
         from domm.svm import LinearModel, PlattCalibration
 
-        m = LinearModel(np.ones(1), 0.0, np.zeros(1), np.ones(1))
+        m = LinearModel(np.ones(1), 0.0)
         cal1 = PlattCalibration(-1000.0, 0.0)  # saturates to the clamp
         cal2 = PlattCalibration(0.0, 0.0)
         model = OmsvmModel(((m, cal1), (m, cal2)), "forward")
@@ -102,8 +102,7 @@ class TestPosteriors:
         model = train_omsvm(features, labels)
         grid = np.linspace(-3, 3, 101)[:, None]
         post = state_posteriors(model, grid)
-        s1 = (grid[:, 0] - model.stage_models[0][0].mean[0]) / model.stage_models[0][0].std[0]
-        s1 = s1 * model.stage_models[0][0].weights[0] + model.stage_models[0][0].bias
+        s1 = grid[:, 0] * model.stage_models[0][0].weights[0] + model.stage_models[0][0].bias
         order = np.argsort(s1)
         assert np.all(np.diff(post[order, 0]) >= -1e-12)
 

@@ -181,12 +181,12 @@ class TestTrainRankSVM:
 
 class TestScoresAndRanks:
     def test_zero_model_scores_zero(self):
-        model = LinearModel(np.zeros(3), 0.0, np.zeros(3), np.ones(3))
+        model = LinearModel(np.zeros(3), 0.0)
         np.testing.assert_array_equal(decision_values(model, np.ones((5, 3))), np.zeros(5))
 
     def test_constant_shift_moves_scores_equally(self):
         rng = np.random.default_rng(4)
-        model = LinearModel(rng.normal(size=3), 0.0, np.zeros(3), np.ones(3))
+        model = LinearModel(rng.normal(size=3), 0.0)
         frames = rng.normal(size=(10, 3))
         shift = np.array([0.5, -1.0, 2.0])
         base = decision_values(model, frames)
@@ -194,7 +194,7 @@ class TestScoresAndRanks:
         np.testing.assert_allclose(moved - base, model.weights @ shift, atol=1e-12)
 
     def test_monotone_input_monotone_scores(self):
-        model = LinearModel(np.array([2.0]), 0.0, np.zeros(1), np.ones(1))
+        model = LinearModel(np.array([2.0]), 0.0)
         series = np.linspace(-1, 1, 30)[:, None]
         assert np.all(np.diff(decision_values(model, series)) > 0)
 
