@@ -11,11 +11,10 @@ a missing, mistyped or inconsistent part fails to load with DataError.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from domm.core import DataError, canonical_json, checked_from_dict, json_numbers, read_json
+from domm.core import DataError, checked_from_dict, json_numbers, read_json, write_json
 from domm.omsvm import OmsvmModel
 from domm.svm import LinearModel, check_width
 from domm.transitions import TransitionModel
@@ -82,7 +81,7 @@ class ModelBundle:
 
 
 def save_model_bundle(bundle: ModelBundle, path) -> None:
-    Path(path).write_text(canonical_json(bundle.to_dict()) + "\n", encoding="ascii")
+    write_json(path, bundle.to_dict())
 
 
 def load_model_bundle(path) -> ModelBundle:

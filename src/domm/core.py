@@ -367,8 +367,24 @@ def canonical_json(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__} canonically")
 
 
+def _write_text(path, text: str) -> None:
+    """Write ``text`` as ASCII bytes.
+
+    Text that is not ASCII, or a path that cannot be written, raises
+    DataError naming the path; non-ASCII text leaves no file behind.
+    """
+    try:
+        data = text.encode("ascii")
+    except UnicodeEncodeError as exc:
+        raise DataError(f"cannot write {path}: non-ASCII text {exc.object[exc.start : exc.end]!r}") from exc
+    try:
+        Path(path).write_bytes(data)
+    except OSError as exc:
+        raise DataError(f"cannot write {path} ({exc.strerror})") from exc
+
+
 def write_json(path, obj) -> None:
-    Path(path).write_text(canonical_json(obj) + "\n", encoding="ascii")
+    _write_text(path, canonical_json(obj) + "\n")
 
 
 def output_dir(path) -> Path:
@@ -408,6 +424,26 @@ def _csv_cell(value) -> str:
     return format_float(value)
 
 
+def _csv_lines(rows) -> list[str]:
+    """One CSV line per row, cell by cell.
+
+    A finite 2-D float array formats each row with one ``%.17g`` template.
+    That matches ``format_float`` on every value that is not integral: 17
+    digits round-trip, so such a value prints a point or an exponent. A row
+    that holds an integral value (``-0.0`` and the +/-1.0 annotation clips
+    included) goes cell by cell, so those cells keep their ``.0``.
+    """
+    float_matrix = isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.dtype.kind == "f"
+    if float_matrix and np.all(np.isfinite(rows)):
+        template = ",".join(["%.17g"] * rows.shape[1])
+        integral = np.any(rows == np.trunc(rows), axis=1).tolist()
+        return [
+            ",".join(map(format_float, row)) if whole else template % tuple(row)
+            for row, whole in zip(rows.tolist(), integral)
+        ]
+    return [",".join(_csv_cell(v) for v in row) for row in rows]
+
+
 def write_csv(path, header, rows, **meta) -> None:
     """Write ``#key=value`` lines (None values skipped), the header, then one line per row.
 
@@ -416,8 +452,8 @@ def write_csv(path, header, rows, **meta) -> None:
     """
     lines = [f"#{key}={_csv_cell(value)}" for key, value in meta.items() if value is not None]
     lines.append(",".join(header))
-    lines.extend(",".join(_csv_cell(v) for v in row) for row in rows)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    lines.extend(_csv_lines(rows))
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------

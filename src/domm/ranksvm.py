@@ -9,6 +9,13 @@ minimizes the squared hinge over feature differences
 with no bias term, since differencing cancels it. Frame scores are the
 projections w . x; ranks follow score order with the tied-average
 convention.
+
+The fit runs ``svm``'s one Newton loop with a pair-index evaluator: each
+evaluation scores the N frames once, takes the P pair margins as score
+differences and scatters the violations back onto frames with
+``np.bincount``, and the Hessian sums the active pair differences
+``HESSIAN_BLOCK`` at a time. The P x D difference matrix is never built, so
+working memory is O(N*D + P + HESSIAN_BLOCK*D).
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ import numpy as np
 
 from domm.core import DataError, RolSequence, average_ranks
 from domm.labels import BLOCK_ROWS
-from domm.svm import LinearModel, newton_squared_hinge
+from domm.svm import LinearModel, _newton_loop
 
 __all__ = [
     "PAIR_CAP",
@@ -27,6 +34,7 @@ __all__ = [
 ]
 
 PAIR_CAP = 200_000
+HESSIAN_BLOCK = 8192
 
 
 def _ordered_blocks(rols: list[RolSequence]):
@@ -77,8 +85,37 @@ def build_pairs(rols: list[RolSequence], cap: int = PAIR_CAP, seed: int = 0) -> 
     return pairs
 
 
+def _pair_objective(w, x, p0, p1, c):
+    """Squared-hinge pair objective, gradient and active pairs at ``w``, from frame scores.
+
+    Every pair-length reduction runs in numpy's own loops (``einsum``,
+    ``bincount``), never in BLAS, so the result does not depend on the BLAS
+    thread count.
+    """
+    scores = x @ w
+    margins = 1.0 - (scores[p0] - scores[p1])
+    active = margins > 0.0
+    viol = margins[active]
+    obj = 0.5 * (w @ w) + c * np.einsum("i,i->", viol, viol)
+    a0, a1 = p0[active], p1[active]
+    coef = -2.0 * c * viol
+    frame_coef = np.bincount(a0, coef, x.shape[0]) - np.bincount(a1, coef, x.shape[0])
+    return obj, w + x.T @ frame_coef, (a0, a1)
+
+
+def _pair_gram(x, active):
+    """Sum of d.T @ d over the active pair differences d, ``HESSIAN_BLOCK`` pairs at a time."""
+    a0, a1 = active
+    gram = np.zeros((x.shape[1], x.shape[1]))
+    for lo in range(0, a0.size, HESSIAN_BLOCK):
+        blk = x[a0[lo : lo + HESSIAN_BLOCK]]
+        blk -= x[a1[lo : lo + HESSIAN_BLOCK]]
+        gram += blk.T @ blk
+    return gram
+
+
 def train_ranksvm(features, pairs: np.ndarray, c: float = 1e-4) -> LinearModel:
-    """Fit the ranking hyperplane on preference-pair feature differences (bias fixed at 0)."""
+    """Fit the ranking hyperplane on preference pairs (bias fixed at 0), from pair indices."""
     x = np.asarray(features, dtype=float)
     pairs = np.asarray(pairs, dtype=int)
     if pairs.size == 0:
@@ -87,9 +124,13 @@ def train_ranksvm(features, pairs: np.ndarray, c: float = 1e-4) -> LinearModel:
         raise DataError("pairs must be a P x 2 index array")
     if not np.all(np.isfinite(x)):
         raise DataError("training features contain non-finite values")
-    diffs = x[pairs[:, 0]]
-    diffs -= x[pairs[:, 1]]  # in place, so one gathered temporary whether or not numpy elides it
-    params, _ = newton_squared_hinge(diffs, np.ones(diffs.shape[0]), c, fit_bias=False)
+    p0, p1 = pairs.T
+    params, _ = _newton_loop(
+        lambda w: _pair_objective(w, x, p0, p1, c),
+        lambda active: _pair_gram(x, active),
+        c,
+        np.ones(x.shape[1]),
+    )
     return LinearModel(weights=params, bias=0.0)
 
 

@@ -9,11 +9,14 @@ on the set of margin violators, backtracking line search). The bias is an
 appended constant-1 input excluded from regularization. Everything is
 deterministic: zero initialization, no randomness.
 
-Each iterate is evaluated once. The evaluation that accepts a step also
-returns that iterate's violator rows, and the next Newton step builds its
-Hessian from them instead of recomputing the scores. The solver drops those
-rows before its line search, so it holds at most one copy of them next to
-the inputs.
+There is one Newton loop, ``_newton_loop``, and two evaluators feed it:
+``objective_and_gradient`` on dense rows with +/-1 targets here, and the
+ranker's pair-index evaluator in ``ranksvm``, which scores frames instead of
+pair differences. Each iterate is evaluated once. The evaluation that
+accepts a step also returns that iterate's violators (here the violator
+rows), and the next Newton step builds its Hessian from them instead of
+recomputing the scores. The solver drops them before its line search, so it
+holds at most one copy of them next to the inputs.
 
 Models train and score on features as given: the pipeline z-scores them first.
 """
@@ -132,21 +135,39 @@ def newton_squared_hinge(inputs, targets, c, fit_bias=True):
     """
     inputs = np.asarray(inputs, dtype=float)
     targets = np.asarray(targets, dtype=float)
-    n_params = inputs.shape[1] + (1 if fit_bias else 0)
-    params = np.zeros(n_params)
-    reg_diag = np.ones(n_params)
+    reg_diag = np.ones(inputs.shape[1] + (1 if fit_bias else 0))
     if fit_bias:
         reg_diag[-1] = 0.0
 
-    obj, grad, rows = objective_and_gradient(params, inputs, targets, c, fit_bias)
+    def gram(rows):
+        if fit_bias:
+            rows = np.hstack([rows, np.ones((rows.shape[0], 1))])
+        return rows.T @ rows
+
+    return _newton_loop(
+        lambda params: objective_and_gradient(params, inputs, targets, c, fit_bias), gram, c, reg_diag
+    )
+
+
+def _newton_loop(evaluate, gram, c, reg_diag):
+    """The damped Newton solve behind ``newton_squared_hinge`` and the ranker.
+
+    ``evaluate(params)`` returns (objective, gradient, active), where
+    ``active`` stands for the margin violators in whatever form ``gram``
+    takes; ``gram(active)`` returns their generalized-Hessian sum of outer
+    products. ``reg_diag`` weighs the regularizer per parameter and sets the
+    parameter count. The solver drops ``active`` right after building the
+    Hessian and after each rejected candidate, so it holds at most one
+    iterate's violators at a time.
+    """
+    params = np.zeros(reg_diag.size)
+    obj, grad, active = evaluate(params)
     trace = [obj]
     for _ in range(MAX_NEWTON_STEPS):
         if np.linalg.norm(grad) <= GRAD_TOL:
             break
-        if fit_bias:
-            rows = np.hstack([rows, np.ones((rows.shape[0], 1))])
-        hess = np.diag(reg_diag) + 2.0 * c * (rows.T @ rows)
-        rows = None  # each line-search evaluation copies its own violators
+        hess = np.diag(reg_diag) + 2.0 * c * gram(active)
+        active = None  # each line-search evaluation finds its own violators
         hess[np.diag_indices_from(hess)] += 1e-10  # keeps the bias block solvable when no violators remain
         direction = np.linalg.solve(hess, -grad)
         slope = grad @ direction
@@ -154,11 +175,11 @@ def newton_squared_hinge(inputs, targets, c, fit_bias=True):
         accepted = False
         for _ in range(MAX_BACKTRACKS + 1):
             candidate = params + step * direction
-            new_obj, new_grad, rows = objective_and_gradient(candidate, inputs, targets, c, fit_bias)
+            new_obj, new_grad, active = evaluate(candidate)
             if new_obj <= obj + 1e-4 * step * slope:
                 accepted = True
                 break
-            rows = None  # freed before the next candidate copies its own
+            active = None  # freed before the next candidate finds its own
             step *= 0.5
         if not accepted or new_obj >= obj:
             break

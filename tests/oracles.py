@@ -14,6 +14,7 @@ import numpy as np
 from domm.core import AolSequence, DataError, average_ranks
 from domm.decoder import PROB_FLOOR, StateLattice
 from domm.labels import DECREASE, INCREASE, TIE, UNDECIDED
+from domm.svm import newton_squared_hinge
 from domm.transitions import DENSITY_FLOOR, SQRT_2PI, KdeModel, TransitionModel, transition_matrices
 
 BRUTE_FORCE_LIMIT = 12
@@ -204,3 +205,15 @@ def two_pass_newton(inputs, targets, c, fit_bias=True):
         params, obj, grad = candidate, new_obj, new_grad
         trace.append(obj)
     return params, trace, evaluations
+
+
+def explicit_difference_ranksvm(features, pairs, c):
+    """The ranker solved on the gathered P x D pair differences; the oracle for ``train_ranksvm``.
+
+    Returns (weights, objective trace) of the dense squared-hinge solve on
+    ``x[preferred] - x[other]`` with unit targets and no bias.
+    """
+    x = np.asarray(features, dtype=float)
+    pairs = np.asarray(pairs, dtype=int)
+    diffs = x[pairs[:, 0]] - x[pairs[:, 1]]
+    return newton_squared_hinge(diffs, np.ones(diffs.shape[0]), c, fit_bias=False)

@@ -930,6 +930,20 @@ class TestManifestNames:
         assert_exit_2(result, "is not a plain file name")
         assert not (tmp_path / "labels").exists()
 
+    def test_utterance_id_longer_than_a_file_name_exits_2(self, corpus_dir, tmp_path):
+        uid = "u" * 300
+        manifest = self.manifest_with(corpus_dir, tmp_path, utterance_id=uid)
+        result = run_cli("convert", "--manifest", manifest, "--out", tmp_path / "labels")
+        assert_exit_2(result, f"cannot write {tmp_path / 'labels' / uid}")
+
+    def test_non_ascii_utterance_id_exits_2_from_decode(self, corpus_dir, domm_rs_bundle, tmp_path):
+        uid = "utt_\u00e9"
+        manifest = self.manifest_with(corpus_dir, tmp_path, utterance_id=uid)
+        out = tmp_path / "pred"
+        result = run_cli("decode", "--bundle", domm_rs_bundle, "--manifest", manifest, "--out", out, "--split", "all")
+        assert_exit_2(result, f"cannot write {out / uid}.aol.csv: non-ASCII text")
+        assert not (out / f"{uid}.aol.csv").exists()
+
     def test_split_tag_climbing_out_of_out_exits_2(self, corpus_dir, tmp_path):
         manifest = self.manifest_with(corpus_dir, tmp_path, split="a/../../../esc")
         out = tmp_path / "x" / "out"
@@ -969,3 +983,22 @@ def test_cli_import_loads_no_scipy():
         check=True,
     )
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one CPU: OpenBLAS would not split a product")
+def test_ranker_bundle_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    assert run_cli("synth", "--out", tmp_path / "corpus", "--utterances", 6, "--frames", 300).exit_code == 0
+    labels = convert(tmp_path / "corpus", tmp_path / "labels")
+    bundles = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads_{threads}"
+        args = ["train", "--manifest", tmp_path / "corpus" / "manifest.json", "--labels", labels, "--out", out]
+        subprocess.run(
+            [sys.executable, "-m", "domm.cli", *args, "--variant", "domm-rs", "--split", "all"],
+            env={**os.environ, "PYTHONPATH": str(src), "OMP_NUM_THREADS": threads, "OPENBLAS_NUM_THREADS": threads},
+            check=True,
+            capture_output=True,
+        )
+        bundles.append((out / "model.json").read_bytes())
+    assert bundles[0] == bundles[1]

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.stats import rankdata
 
 from domm.core import (
@@ -210,6 +213,42 @@ def test_write_csv_format(tmp_path):
     assert path.read_bytes() == (
         b"#utterance_id=u\n#period_s=0.040000000000000001\nname,n,x\na,3,0.5\nb,4,2.0\n"
     )
+
+
+EDGE_FLOATS = [
+    0.0, -0.0, 1.0, -1.0, 3.0, 0.5, 0.1, 1e-5, 1e16, -1e16, 1e16 + 2, 2.0**53, 1e17, -1e17,
+    123456789.5, 2.2250738585072014e-308 / 3, 5e-324, -5e-324, 1.7e308, -1.7e308,
+]
+EDGE_CELLS = st.one_of(
+    st.sampled_from(EDGE_FLOATS),
+    st.integers(-1000, 1000).map(float),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([np.nan, np.inf, -np.inf]),
+)
+
+
+@settings(
+    derandomize=True, max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(0, 5)), elements=EDGE_CELLS))
+def test_write_csv_float_matrix_writes_the_per_cell_bytes(tmp_path, matrix):
+    """A float array takes a row template; the same values as Python lists go cell by cell."""
+    header = [f"f{k}" for k in range(matrix.shape[1])]
+    outcomes = []
+    for name, rows in (("array.csv", matrix), ("cells.csv", matrix.tolist())):
+        try:
+            write_csv(tmp_path / name, header, rows, utterance_id="u")
+            outcomes.append((tmp_path / name).read_bytes())
+        except DataError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
+
+
+def test_write_csv_keeps_the_point_on_integral_cells(tmp_path):
+    write_csv(tmp_path / "t.csv", ["a", "b"], np.array([[0.25, -0.0], [1e16, 0.5], [0.5, 1e17]]))
+    assert (tmp_path / "t.csv").read_text().splitlines()[1:] == [
+        "0.25,-0.0", "10000000000000000.0,0.5", "0.5,1e+17"
+    ]
 
 
 def test_non_utf8_inputs_raise_data_error(tmp_path):

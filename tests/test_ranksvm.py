@@ -6,9 +6,10 @@ import pytest
 from domm.core import DataError, RolSequence, average_ranks
 from domm.labels import BLOCK_ROWS
 from domm.metrics import kendall_tau
+from domm import ranksvm, svm
 from domm.ranksvm import build_pairs, ranks_from_scores, train_ranksvm
 from domm.svm import LinearModel, decision_values, newton_squared_hinge
-from oracles import enumerated_pairs
+from oracles import enumerated_pairs, explicit_difference_ranksvm
 
 
 def rol(ranks, uid="u"):
@@ -156,27 +157,108 @@ class TestTrainRankSVM:
         with pytest.raises(DataError, match="empty pair"):
             train_ranksvm(np.zeros((4, 2)), np.empty((0, 2)))
 
-    def test_holds_the_differences_plus_one_violator_copy(self):
-        """Three P x D arrays at once (two gathered rows plus their difference, or the
-        differences plus a Hessian and a line-search violator copy) peaked at 3.07 x P.D.8 bytes."""
+    def test_peak_memory_under_half_the_pair_difference_matrix(self):
+        """The P x D differences alone would take P.D.8 bytes; with a violator copy the fit peaked at 2.19 x that."""
         rng = np.random.default_rng(4)
-        n_pairs, dim = 50_000, 32
-        features = rng.normal(size=(2000, dim))
-        preferred = rng.integers(0, 2000, size=n_pairs)
-        pairs = np.column_stack([preferred, (preferred + rng.integers(1, 2000, size=n_pairs)) % 2000])
+        n_pairs, dim, n_frames = 200_000, 32, 2000
+        features = rng.normal(size=(n_frames, dim))
+        preferred = rng.integers(0, n_frames, size=n_pairs)
+        pairs = np.column_stack([preferred, (preferred + rng.integers(1, n_frames, size=n_pairs)) % n_frames])
         tracemalloc.start()
         try:
             train_ranksvm(features, pairs, c=1e-4)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * n_pairs * dim * 8
+        assert peak < 0.5 * n_pairs * dim * 8
 
     def test_objective_trace_non_increasing_on_pair_differences(self):
         rng = np.random.default_rng(3)
         diffs = rng.normal(size=(300, 8))
         _, trace = newton_squared_hinge(diffs, np.ones(300), c=0.05, fit_bias=False)
         assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
+
+
+def ordered_pairs(seed, n_frames, dim):
+    """Random frames and every strict pair of them, preferred by a random projection."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n_frames, dim))
+    z = x @ rng.normal(size=dim)
+    i, j = np.triu_indices(n_frames, k=1)
+    swap = z[i] < z[j]
+    return x, np.column_stack([np.where(swap, j, i), np.where(swap, i, j)])
+
+
+def repeated_pairs():
+    x, pairs = ordered_pairs(1, 30, 4)
+    counts = np.random.default_rng(1).integers(1, 4, size=pairs.shape[0])
+    return x, np.repeat(pairs, counts, axis=0), 0.1
+
+
+def hub_frame():
+    # frame 0 is preferred over every other frame; the rest form a few random pairs
+    rng = np.random.default_rng(2)
+    x = rng.normal(size=(60, 5))
+    others = np.arange(1, 60)
+    extra = rng.integers(1, 60, size=(40, 2))
+    return x, np.vstack([np.column_stack([np.zeros_like(others), others]), extra[extra[:, 0] != extra[:, 1]]]), 1.0
+
+
+def sampled_corpus_pairs():
+    rng = np.random.default_rng(3)
+    rols = [untied(rng, 150, "a"), tied(rng, 120, 6, "b")]
+    x = rng.normal(size=(270, 10))
+    x[:150, 0] += 0.01 * rols[0].ranks
+    return x, build_pairs(rols, cap=5000, seed=3), 1e-4
+
+
+def one_pair_overshot():
+    # at c = 1e16 the first step lands on w = 1.0 exactly, where the only margin is 0
+    return np.array([[1.0], [0.0]]), np.array([[0, 1]]), 1e16
+
+
+PAIR_FIT_CASES = {
+    "repeated-pairs": repeated_pairs(),
+    "hub-frame": hub_frame(),
+    "sampled-corpus": sampled_corpus_pairs(),
+    "backtracks": (*ordered_pairs(6, 8, 3), 100.0),
+    "no-violators": one_pair_overshot(),
+}
+
+
+def pair_index_fit(monkeypatch, features, pairs, c):
+    """``train_ranksvm``'s weights, objective trace and the active-pair count of each evaluation."""
+    solves, active_counts = [], []
+
+    def recorded(evaluate, gram, c_, reg_diag):
+        def counted(w):
+            result = evaluate(w)
+            active_counts.append(result[2][0].size)
+            return result
+
+        solves.append(svm._newton_loop(counted, gram, c_, reg_diag))
+        return solves[-1]
+
+    monkeypatch.setattr(ranksvm, "_newton_loop", recorded)
+    model = train_ranksvm(features, pairs, c)
+    ((weights, trace),) = solves
+    assert model.weights.tobytes() == weights.tobytes()
+    return weights, trace, active_counts
+
+
+@pytest.mark.parametrize("case", sorted(PAIR_FIT_CASES))
+def test_pair_index_fit_equals_the_explicit_difference_fit(monkeypatch, case):
+    features, pairs, c = PAIR_FIT_CASES[case]
+    weights, trace, active_counts = pair_index_fit(monkeypatch, features, pairs, c)
+    want_weights, want_trace = explicit_difference_ranksvm(features, pairs, c)
+
+    assert np.max(np.abs(weights - want_weights)) <= 1e-10 * np.max(np.abs(want_weights))
+    assert len(trace) == len(want_trace)
+    np.testing.assert_allclose(trace, want_trace, rtol=1e-12, atol=0)
+    if case == "backtracks":
+        assert len(active_counts) > len(trace)
+    if case == "no-violators":
+        assert 0 in active_counts
 
 
 class TestScoresAndRanks:
