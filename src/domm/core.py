@@ -356,6 +356,8 @@ def canonical_json(obj) -> str:
     if isinstance(obj, np.ndarray):
         return canonical_json(obj.tolist())
     if isinstance(obj, (list, tuple)):
+        if all(type(v) is float for v in obj):  # the float vectors of a bundle, without recursion
+            return "[" + ",".join(map(format_float, obj)) + "]"
         return "[" + ",".join(canonical_json(v) for v in obj) + "]"
     if isinstance(obj, dict):
         parts = []
@@ -461,15 +463,15 @@ def write_csv(path, header, rows, **meta) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _read_csv_lines(path) -> tuple[dict[str, str], list[str], list[list[str]]]:
-    """Split a CSV file into (#key=value metadata, header cells, data rows)."""
+def _read_csv_lines(path) -> tuple[dict[str, str], list[str], list[str]]:
+    """Split a CSV file into (#key=value metadata, header cells, raw data lines)."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, ValueError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     meta: dict[str, str] = {}
     header: list[str] | None = None
-    rows: list[list[str]] = []
+    lines: list[str] = []
     for line in text.splitlines():
         if not line.strip():
             continue
@@ -477,39 +479,49 @@ def _read_csv_lines(path) -> tuple[dict[str, str], list[str], list[list[str]]]:
             key, sep, value = line[1:].partition("=")
             if sep:
                 meta[key.strip()] = value.strip()
-            continue
-        cells = [c.strip() for c in line.split(",")]
-        if header is None:
-            header = cells
+        elif header is None:
+            header = [c.strip() for c in line.split(",")]
         else:
-            rows.append(cells)
+            lines.append(line)
     if header is None:
         raise DataError(f"{path}: empty file")
-    return meta, header, rows
+    return meta, header, lines
 
 
-def _check_row_widths(path, rows: list[list[str]], width: int) -> None:
-    for r, cells in enumerate(rows):
-        if len(cells) != width:
-            raise DataError(f"{path}: row {r + 1} has {len(cells)} cells, expected {width}")
+def _check_row_widths(path, lines: list[str], width: int) -> None:
+    for r, line in enumerate(lines):
+        cells = line.count(",") + 1
+        if cells != width:
+            raise DataError(f"{path}: row {r + 1} has {cells} cells, expected {width}")
 
 
-def _parse_matrix(path, header: list[str], rows: list[list[str]]) -> np.ndarray:
-    if not rows:
+def _parse_matrix(path, header: list[str], lines: list[str]) -> np.ndarray:
+    """The data lines as a finite float matrix, every cell parsed by ``float`` in one bulk pass.
+
+    ``float`` strips surrounding whitespace itself, so the bulk pass accepts
+    exactly the cells the per-cell loop does. If any cell fails or is not
+    finite, the per-cell loop runs instead and names the first such cell.
+    """
+    if not lines:
         raise DataError(f"{path}: no data rows")
     width = len(header)
-    _check_row_widths(path, rows, width)
-    out = np.empty((len(rows), width))
-    for r, cells in enumerate(rows):
-        for c, cell in enumerate(cells):
+    _check_row_widths(path, lines, width)
+    try:
+        out = np.fromiter(map(float, ",".join(lines).split(",")), float, len(lines) * width)
+        if np.all(np.isfinite(out)):
+            return out.reshape(len(lines), width)
+    except ValueError:
+        pass
+    out = np.empty((len(lines), width))
+    for r, line in enumerate(lines):
+        for c, cell in enumerate(line.split(",")):
+            cell = cell.strip()
             try:
                 value = float(cell)
             except ValueError:
                 value = np.nan
             if not np.isfinite(value):
-                raise DataError(
-                    f"{path}: non-numeric value {cell!r} at row {r + 1}, column {header[c]!r}"
-                )
+                raise DataError(f"{path}: non-numeric value {cell!r} at row {r + 1}, column {header[c]!r}")
             out[r, c] = value
     return out
 
@@ -523,17 +535,17 @@ def _meta_float(path, meta: dict[str, str], key: str) -> float:
 
 def parse_features(path) -> UtteranceFeatures:
     """Parse a feature CSV: ``#key=value`` metadata (only ``#utterance_id=`` is read), header, rows."""
-    meta, header, rows = _read_csv_lines(path)
-    frames = _parse_matrix(path, header, rows)
+    meta, header, lines = _read_csv_lines(path)
+    frames = _parse_matrix(path, header, lines)
     return UtteranceFeatures(meta.get("utterance_id", Path(path).stem), frames)
 
 
 def parse_annotations(path, value_range: tuple[float, float]) -> AnnotationSet:
     """Parse an annotation CSV: ``#period_s=<float>`` metadata row, one column per annotator."""
-    meta, header, rows = _read_csv_lines(path)
+    meta, header, lines = _read_csv_lines(path)
     if "period_s" not in meta:
         raise DataError(f"{path}: missing '#period_s=' metadata row")
-    values = _parse_matrix(path, header, rows)
+    values = _parse_matrix(path, header, lines)
     return AnnotationSet(
         utterance_id=meta.get("utterance_id", Path(path).stem),
         values=values.T.copy(),
@@ -552,12 +564,12 @@ def write_aol_csv(seq: AolSequence, path) -> None:
 
 
 def read_aol_csv(path) -> AolSequence:
-    meta, header, rows = _read_csv_lines(path)
+    meta, header, lines = _read_csv_lines(path)
     if header != ["aol"]:
         raise DataError(f"{path}: expected single 'aol' column")
-    _check_row_widths(path, rows, 1)
+    _check_row_widths(path, lines, 1)
     try:
-        labels = np.array([int(r[0]) for r in rows])
+        labels = np.array([int(line.strip()) for line in lines])
     except ValueError as exc:
         raise DataError(f"{path}: non-integer label: {exc}") from exc
     return AolSequence(meta.get("utterance_id", Path(path).stem), labels)
@@ -570,10 +582,10 @@ def write_rol_csv(seq: RolSequence, path) -> None:
 
 def read_rol_csv(path) -> RolSequence:
     """Read a ``rank,normalized`` file; a ``normalized`` cell other than its rank's exact value raises."""
-    meta, header, rows = _read_csv_lines(path)
+    meta, header, lines = _read_csv_lines(path)
     if header != ["rank", "normalized"]:
         raise DataError(f"{path}: expected 'rank,normalized' columns")
-    values = _parse_matrix(path, header, rows)
+    values = _parse_matrix(path, header, lines)
     rol = RolSequence(meta.get("utterance_id", Path(path).stem), values[:, 0])
     wrong = np.flatnonzero(values[:, 1] != rol.normalized)
     if wrong.size:

@@ -118,12 +118,13 @@ def fold_seed(root_seed: int, fold: str) -> int:
 def convert_labels(
     manifest: DatasetManifest, split: str = "all", eps_tie: float = 0.0
 ) -> dict[str, tuple[AolSequence, RolSequence]]:
-    """Consensus labels and ranks for every utterance of the split."""
+    """Consensus labels and ranks for every utterance of the split, under its manifest id."""
     if not is_positive(eps_tie, or_zero=True):
         raise DataError(f"eps_tie must be a number >= 0, got {eps_tie!r}")
     out = {}
     for entry in manifest.split_entries(split):
         ann = parse_annotations(entry.annotations_path, manifest.value_range)
+        ann = replace(ann, utterance_id=entry.utterance_id)
         consensus, ranks, _ = convert_annotation_set(ann, manifest.thresholds, manifest.preprocessing, eps_tie)
         out[entry.utterance_id] = (consensus, ranks)
     return out

@@ -91,9 +91,7 @@ def preprocess_annotations(ann: AnnotationSet, pre: Preprocessing) -> Annotation
         raise DataError(
             f"{ann.utterance_id}: window of {window} samples exceeds series of {n} samples after delay"
         )
-    n_windows = (n - window) // hop + 1
-    starts = np.arange(n_windows) * hop
-    windows = np.stack([shifted[:, s : s + window].mean(axis=1) for s in starts], axis=1)
+    windows = np.lib.stride_tricks.sliding_window_view(shifted, window, axis=1)[:, ::hop].mean(axis=-1)
     # window means of in-range values stay in range up to rounding; clip the dust
     lo, hi = ann.value_range
     windows = np.clip(windows, lo, hi)

@@ -13,9 +13,14 @@ convention.
 The fit runs ``svm``'s one Newton loop with a pair-index evaluator: each
 evaluation scores the N frames once, takes the P pair margins as score
 differences and scatters the violations back onto frames with
-``np.bincount``, and the Hessian sums the active pair differences
-``HESSIAN_BLOCK`` at a time. The P x D difference matrix is never built, so
-working memory is O(N*D + P + HESSIAN_BLOCK*D).
+``np.bincount``. The Hessian is updated from the active-set change
+(Keerthi & DeCoste 2005): each Newton step adds the outer products of the
+pair differences that entered the active set since the last step and
+subtracts those of the pairs that left, ``HESSIAN_BLOCK`` at a time. The
+first step, and any step where more pairs changed than are active, sums
+the active pairs directly. The P x D difference matrix is never built;
+working memory is O(N*D + P + HESSIAN_BLOCK*D), the solver keeping one
+extra P-length bool, the previous step's active mask.
 """
 
 from __future__ import annotations
@@ -86,7 +91,7 @@ def build_pairs(rols: list[RolSequence], cap: int = PAIR_CAP, seed: int = 0) -> 
 
 
 def _pair_objective(w, x, p0, p1, c):
-    """Squared-hinge pair objective, gradient and active pairs at ``w``, from frame scores.
+    """Squared-hinge pair objective, gradient and the boolean active-pair mask at ``w``, from frame scores.
 
     Every pair-length reduction runs in numpy's own loops (``einsum``,
     ``bincount``), never in BLAS, so the result does not depend on the BLAS
@@ -97,15 +102,13 @@ def _pair_objective(w, x, p0, p1, c):
     active = margins > 0.0
     viol = margins[active]
     obj = 0.5 * (w @ w) + c * np.einsum("i,i->", viol, viol)
-    a0, a1 = p0[active], p1[active]
     coef = -2.0 * c * viol
-    frame_coef = np.bincount(a0, coef, x.shape[0]) - np.bincount(a1, coef, x.shape[0])
-    return obj, w + x.T @ frame_coef, (a0, a1)
+    frame_coef = np.bincount(p0[active], coef, x.shape[0]) - np.bincount(p1[active], coef, x.shape[0])
+    return obj, w + x.T @ frame_coef, active
 
 
-def _pair_gram(x, active):
-    """Sum of d.T @ d over the active pair differences d, ``HESSIAN_BLOCK`` pairs at a time."""
-    a0, a1 = active
+def _pair_gram(x, a0, a1):
+    """Sum of d.T @ d over the pair differences d = x[a0] - x[a1], ``HESSIAN_BLOCK`` pairs at a time."""
     gram = np.zeros((x.shape[1], x.shape[1]))
     for lo in range(0, a0.size, HESSIAN_BLOCK):
         blk = x[a0[lo : lo + HESSIAN_BLOCK]]
@@ -125,12 +128,21 @@ def train_ranksvm(features, pairs: np.ndarray, c: float = 1e-4) -> LinearModel:
     if not np.all(np.isfinite(x)):
         raise DataError("training features contain non-finite values")
     p0, p1 = pairs.T
-    params, _ = _newton_loop(
-        lambda w: _pair_objective(w, x, p0, p1, c),
-        lambda active: _pair_gram(x, active),
-        c,
-        np.ones(x.shape[1]),
-    )
+    last = {}  # the previous step's active mask and Hessian sum
+
+    def gram(active):
+        if last:
+            entered = np.flatnonzero(active > last["active"])
+            left = np.flatnonzero(active < last["active"])
+        if not last or entered.size + left.size >= np.count_nonzero(active):
+            total = _pair_gram(x, p0[active], p1[active])
+        else:
+            total = last["gram"] + _pair_gram(x, p0[entered], p1[entered])
+            total -= _pair_gram(x, p0[left], p1[left])
+        last.update(active=active, gram=total)
+        return total
+
+    params, _ = _newton_loop(lambda w: _pair_objective(w, x, p0, p1, c), gram, c, np.ones(x.shape[1]))
     return LinearModel(weights=params, bias=0.0)
 
 

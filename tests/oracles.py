@@ -8,13 +8,15 @@ check by reading. None of them runs in the pipeline.
 from __future__ import annotations
 
 import itertools
+from pathlib import Path
 
 import numpy as np
 
+from domm import ranksvm
 from domm.core import AolSequence, DataError, average_ranks
 from domm.decoder import PROB_FLOOR, StateLattice
 from domm.labels import DECREASE, INCREASE, TIE, UNDECIDED
-from domm.svm import newton_squared_hinge
+from domm.svm import _newton_loop, newton_squared_hinge
 from domm.transitions import DENSITY_FLOOR, SQRT_2PI, KdeModel, TransitionModel, transition_matrices
 
 BRUTE_FORCE_LIMIT = 12
@@ -217,3 +219,60 @@ def explicit_difference_ranksvm(features, pairs, c):
     pairs = np.asarray(pairs, dtype=int)
     diffs = x[pairs[:, 0]] - x[pairs[:, 1]]
     return newton_squared_hinge(diffs, np.ones(diffs.shape[0]), c, fit_bias=False)
+
+
+def rebuilt_hessian_ranksvm(features, pairs, c):
+    """The pair-index ranker fit whose Hessian sums every active pair at every step; the oracle for ``train_ranksvm``.
+
+    Returns (weights, objective trace).
+    """
+    x = np.asarray(features, dtype=float)
+    p0, p1 = np.asarray(pairs, dtype=int).T
+    return _newton_loop(
+        lambda w: ranksvm._pair_objective(w, x, p0, p1, c),
+        lambda active: ranksvm._pair_gram(x, p0[active], p1[active]),
+        c,
+        np.ones(x.shape[1]),
+    )
+
+
+def per_cell_csv_matrix(path) -> np.ndarray:
+    """A numeric CSV file's data rows, one ``float`` call per stripped cell; the oracle for ``core``'s bulk parse.
+
+    Comment lines and blank lines are skipped, the first other line is the
+    header, and the errors carry the pipeline's messages.
+    """
+    rows = []
+    header = None
+    for line in Path(path).read_text(encoding="utf-8").splitlines():
+        if not line.strip() or line.startswith("#"):
+            continue
+        cells = [c.strip() for c in line.split(",")]
+        if header is None:
+            header = cells
+        else:
+            rows.append(cells)
+    if header is None:
+        raise DataError(f"{path}: empty file")
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+    for r, cells in enumerate(rows):
+        if len(cells) != len(header):
+            raise DataError(f"{path}: row {r + 1} has {len(cells)} cells, expected {len(header)}")
+    out = np.empty((len(rows), len(header)))
+    for r, cells in enumerate(rows):
+        for c, cell in enumerate(cells):
+            try:
+                value = float(cell)
+            except ValueError:
+                value = np.nan
+            if not np.isfinite(value):
+                raise DataError(f"{path}: non-numeric value {cell!r} at row {r + 1}, column {header[c]!r}")
+            out[r, c] = value
+    return out
+
+
+def window_means_loop(series, window, hop) -> np.ndarray:
+    """Means of each row of ``series`` over windows of ``window`` samples every ``hop``, one window at a time."""
+    starts = range(0, series.shape[1] - window + 1, hop)
+    return np.stack([series[:, s : s + window].mean(axis=1) for s in starts], axis=1)

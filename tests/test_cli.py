@@ -944,6 +944,15 @@ class TestManifestNames:
         assert_exit_2(result, f"cannot write {out / uid}.aol.csv: non-ASCII text")
         assert not (out / f"{uid}.aol.csv").exists()
 
+    def test_convert_and_decode_write_the_manifest_id(self, corpus_dir, domm_rs_bundle, tmp_path):
+        manifest = self.manifest_with(corpus_dir, tmp_path, utterance_id="renamed")
+        labels, pred = tmp_path / "labels", tmp_path / "pred"
+        assert run_cli("convert", "--manifest", manifest, "--out", labels).exit_code == 0
+        result = run_cli("decode", "--bundle", domm_rs_bundle, "--manifest", manifest, "--out", pred, "--split", "all")
+        assert result.exit_code == 0, result.output
+        for path in (labels / "renamed.aol.csv", labels / "renamed.rol.csv", pred / "renamed.aol.csv"):
+            assert path.read_text().splitlines()[0] == "#utterance_id=renamed"
+
     def test_split_tag_climbing_out_of_out_exits_2(self, corpus_dir, tmp_path):
         manifest = self.manifest_with(corpus_dir, tmp_path, split="a/../../../esc")
         out = tmp_path / "x" / "out"

@@ -24,6 +24,7 @@ from domm.core import (
     write_csv,
     write_rol_csv,
 )
+from oracles import per_cell_csv_matrix
 
 
 def test_parse_features_basic(tmp_path):
@@ -184,6 +185,20 @@ def test_canonical_json_sorted_and_stable():
     assert a == '{"a":[1.0,0.5],"b":1,"c":null,"d":true}'
 
 
+JSON_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -3.0, 1e16, 1e16 + 2, 1e17, -1e17, 5e-324, 2.2250738585072014e-308 / 3]),
+    st.integers(-(2**60), 2**60).map(float),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.lists(JSON_FLOATS, max_size=12))
+def test_canonical_json_float_list_matches_the_per_item_path(values):
+    # numpy scalars are not of type float, so they take the per-item recursion
+    assert canonical_json(values) == canonical_json([np.float64(v) for v in values])
+
+
 def test_aol_rol_csv_round_trip(tmp_path):
     aol = AolSequence("utt_3", np.array([0, 1, 2, 1]))
     write_aol_csv(aol, tmp_path / "a.csv")
@@ -239,6 +254,39 @@ def test_write_csv_float_matrix_writes_the_per_cell_bytes(tmp_path, matrix):
         try:
             write_csv(tmp_path / name, header, rows, utterance_id="u")
             outcomes.append((tmp_path / name).read_bytes())
+        except DataError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
+
+
+CSV_CELLS = st.one_of(
+    st.sampled_from(
+        ["1_000", "\uff11", " 1.5 ", "\t-2", "\u30003\u3000", "", " ", "nan", "NaN", "inf", "-Infinity",
+         "1e309", "-1e309", "-0.0", "#", "1e-320", "0x10", "+.5", "5.", "1 2", "abc"]
+    ),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-1000, 1000).map(str),
+)
+CSV_ROWS = st.one_of(
+    st.lists(CSV_CELLS, min_size=3, max_size=3),
+    st.lists(st.floats(-1e3, 1e3).map(repr), min_size=3, max_size=3),
+    st.lists(CSV_CELLS, min_size=1, max_size=5),
+)
+
+
+@settings(
+    derandomize=True, max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(st.lists(CSV_ROWS, max_size=6))
+def test_bulk_parse_matches_the_per_cell_parse(tmp_path, rows):
+    """The same matrix, or the same DataError message, as one ``float`` call per stripped cell."""
+    path = tmp_path / "u.csv"
+    path.write_text("#utterance_id=u\nf0, f1 ,f2\n" + "".join(",".join(r) + "\n" for r in rows), encoding="utf-8")
+    outcomes = []
+    for parse in (lambda p: parse_features(p).frames, per_cell_csv_matrix):
+        try:
+            matrix = parse(path)
+            outcomes.append((matrix.shape, matrix.tobytes()))
         except DataError as exc:
             outcomes.append(str(exc))
     assert outcomes[0] == outcomes[1]

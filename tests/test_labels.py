@@ -24,7 +24,7 @@ from domm.labels import (
     ranks_from_consensus,
     sweep_thresholds,
 )
-from oracles import consensus_vote_loop, dense_consensus_ranks
+from oracles import consensus_vote_loop, dense_consensus_ranks, window_means_loop
 
 L, M, H = 0, 1, 2
 
@@ -62,6 +62,23 @@ class TestPreprocess:
         out = preprocess_annotations(ann, Preprocessing(0.0, 40.0, 0.0))
         assert out.n_samples == 1
         np.testing.assert_allclose(out.values[0, 0], series.mean())
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(
+        n_annotators=st.integers(1, 6),
+        delay=st.integers(0, 20),
+        window=st.integers(1, 400),
+        extra=st.integers(0, 500),
+        hop_share=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**16),
+    )
+    def test_window_means_are_bitwise_the_per_window_loop(self, n_annotators, delay, window, extra, hop_share, seed):
+        hop = 1 + round(hop_share * (window - 1))  # overlap in [0, 1) keeps the hop within the window
+        values = np.random.default_rng(seed).uniform(-1, 1, (n_annotators, delay + window + extra))
+        out = preprocess_annotations(make_annotations(values, period=1.0), Preprocessing(delay, window, 1 - hop / window))
+        assert out.period_s == hop
+        want = np.clip(window_means_loop(values[:, delay:], window, hop), -1.0, 1.0)
+        assert out.values.tobytes() == want.tobytes() and out.values.shape == want.shape
 
     def test_constant_series_stays_constant(self):
         ann = make_annotations([np.full(50, 0.3)], period=1.0)

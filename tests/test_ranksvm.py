@@ -9,7 +9,7 @@ from domm.metrics import kendall_tau
 from domm import ranksvm, svm
 from domm.ranksvm import build_pairs, ranks_from_scores, train_ranksvm
 from domm.svm import LinearModel, decision_values, newton_squared_hinge
-from oracles import enumerated_pairs, explicit_difference_ranksvm
+from oracles import enumerated_pairs, explicit_difference_ranksvm, rebuilt_hessian_ranksvm
 
 
 def rol(ranks, uid="u"):
@@ -233,7 +233,7 @@ def pair_index_fit(monkeypatch, features, pairs, c):
     def recorded(evaluate, gram, c_, reg_diag):
         def counted(w):
             result = evaluate(w)
-            active_counts.append(result[2][0].size)
+            active_counts.append(np.count_nonzero(result[2]))
             return result
 
         solves.append(svm._newton_loop(counted, gram, c_, reg_diag))
@@ -257,6 +257,43 @@ def test_pair_index_fit_equals_the_explicit_difference_fit(monkeypatch, case):
     np.testing.assert_allclose(trace, want_trace, rtol=1e-12, atol=0)
     if case == "backtracks":
         assert len(active_counts) > len(trace)
+    if case == "no-violators":
+        assert 0 in active_counts
+
+
+def noisy_pairs():
+    # pairs ordered by a noisy projection, so the active set keeps changing between steps
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=(400, 8))
+    z = x @ rng.normal(size=8) + rng.normal(scale=2.0, size=400)
+    i, j = rng.integers(0, 400, size=(2, 20_000))
+    keep = z[i] != z[j]
+    return x, np.where((z[i] > z[j])[:, None], np.column_stack([i, j]), np.column_stack([j, i]))[keep], 1e-2
+
+
+HESSIAN_CASES = {**PAIR_FIT_CASES, "noisy-pairs": noisy_pairs()}
+
+
+@pytest.mark.parametrize("case", sorted(HESSIAN_CASES))
+def test_updated_hessian_fit_equals_the_rebuilt_hessian_fit(monkeypatch, case):
+    features, pairs, c = HESSIAN_CASES[case]
+    gram, gram_sizes = ranksvm._pair_gram, []
+
+    def recorded(x, a0, a1):
+        gram_sizes.append(a0.size)
+        return gram(x, a0, a1)
+
+    monkeypatch.setattr(ranksvm, "_pair_gram", recorded)
+    weights, trace, active_counts = pair_index_fit(monkeypatch, features, pairs, c)
+    monkeypatch.setattr(ranksvm, "_pair_gram", gram)
+    want_weights, want_trace = rebuilt_hessian_ranksvm(features, pairs, c)
+
+    assert len(trace) == len(want_trace)
+    assert np.max(np.abs(weights - want_weights)) <= 1e-12 * np.max(np.abs(want_weights))
+    # each step sums the active pairs once, or the entered and the left pairs
+    assert len(trace) - 1 <= len(gram_sizes) <= 2 * (len(trace) - 1) + 1
+    if case == "noisy-pairs":
+        assert len(gram_sizes) > len(trace)  # some step took the update
     if case == "no-violators":
         assert 0 in active_counts
 
