@@ -61,13 +61,55 @@ def _ordered_blocks(rols: list[RolSequence]):
         offset += ranks.size
 
 
+def _sorted_choice(total: int, cap: int, seed: int) -> np.ndarray:
+    """``np.sort(default_rng(seed).choice(total, cap, replace=False))`` in O(cap) memory.
+
+    Where ``choice`` would tail-shuffle (``total > 10000`` and
+    ``cap > total // 50``) it fills an ``arange(total)`` (21.5 MB at the
+    xval-wide shape) and swaps each position ``i`` from ``total - 1`` down to
+    ``total - cap`` with a drawn ``j <= i``, keeping the last ``cap``
+    positions. The same draws are taken here with ``integers`` and the swaps
+    resolved without the array: step ``k`` keeps what the latest earlier
+    step with the same ``j`` wrote there, or ``j`` itself, and writes what
+    its own position held, which chains back through earlier steps that
+    targeted that position. Below that regime ``choice`` itself (Floyd's
+    algorithm) is already O(cap).
+    """
+    rng = np.random.default_rng(seed)
+    if total <= 10000 or cap <= total // 50:
+        return np.sort(rng.choice(total, size=cap, replace=False))
+    k = np.arange(cap)  # step k swaps position total - 1 - k
+    targets = rng.integers(0, total - 1 - k, endpoint=True)
+    order = np.argsort(targets * cap + k)
+    sorted_targets = targets[order]
+    same = sorted_targets[1:] == sorted_targets[:-1]
+    prev = np.full(cap, -1)  # the latest earlier step with the same target
+    prev[order[1:][same]] = order[:-1][same]
+    ends = np.flatnonzero(np.append(~same, True))
+    ends = ends[sorted_targets[ends] >= total - cap]
+    # the latest step before k that wrote k's own position, or k if none did
+    root = k.copy()
+    root[total - 1 - sorted_targets[ends]] = order[ends]
+    del order, sorted_targets
+    self_swap = (targets == total - 1 - k) & (prev >= 0)
+    root[self_swap] = prev[self_swap]
+    while not np.array_equal(hop := root[root], root):
+        root = hop
+    kept = prev >= 0
+    targets[kept] = total - 1 - root[prev[kept]]
+    targets.sort()
+    return targets
+
+
 def build_pairs(rols: list[RolSequence], cap: int = PAIR_CAP, seed: int = 0) -> np.ndarray:
     """All strict (preferred, other) frame-index pairs, subsampled to ``cap``.
 
     Indices address the rows of the feature matrix formed by stacking the
     utterances in the given order. When the pair count exceeds ``cap`` a
     uniform subsample of pair indices is drawn from the count alone with the
-    seeded generator, so the result is deterministic for a fixed seed. The
+    seeded generator (``_sorted_choice``: the indices ``Generator.choice``
+    would keep, without its ``arange(total)``), so the result is
+    deterministic for a fixed seed. The
     pairs are counted, then only the kept ones enumerated, ``BLOCK_ROWS``
     rows of one utterance at a time: working memory is O(BLOCK_ROWS * T)
     plus the kept pairs. The pipeline keeps ``PAIR_CAP``; tests pass smaller caps.
@@ -76,7 +118,7 @@ def build_pairs(rols: list[RolSequence], cap: int = PAIR_CAP, seed: int = 0) -> 
     starts = np.concatenate([[0], np.cumsum(counts, dtype=int)])
     total = int(starts[-1])
     if total > cap:
-        keep = np.sort(np.random.default_rng(seed).choice(total, size=cap, replace=False))
+        keep = _sorted_choice(total, cap, seed)
     else:
         keep = np.arange(total)
     bounds = np.searchsorted(keep, starts)

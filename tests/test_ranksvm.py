@@ -90,6 +90,29 @@ class TestBlockedPairsEqualEnumeration:
         assert totals["tail_shuffle_above_10000"] > 10_000 and 1000 > totals["tail_shuffle_above_10000"] // 50
         assert totals["floyd_above_10000"] > 10_000 and 100 <= totals["floyd_above_10000"] // 50
 
+    @pytest.mark.parametrize(
+        "total,cap",
+        [(10001, 201), (10001, 10000), (10500, 10499), (20000, 401), (20000, 1000), (123457, 50000), (9999, 500), (30000, 600)],
+    )
+    @pytest.mark.parametrize("seed", [0, 3, 101])
+    def test_sorted_choice_equals_generator_choice(self, total, cap, seed):
+        want = np.sort(np.random.default_rng(seed).choice(total, size=cap, replace=False))
+        got = ranksvm._sorted_choice(total, cap, seed)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    def test_sorted_choice_never_holds_the_population(self):
+        """Choice's tail shuffle fills arange(total), 21.6 MB here; the emulation keeps ~7 cap-length arrays."""
+        total, cap = 2_700_000, 200_000
+        tracemalloc.start()
+        try:
+            got = ranksvm._sorted_choice(total, cap, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, np.sort(np.random.default_rng(1).choice(total, size=cap, replace=False)))
+        assert peak < 10 * 8 * cap < 8 * total
+
     def test_no_utterances_give_no_pairs(self):
         got = build_pairs([], cap=5, seed=0)
         want = enumerated_pairs([], 5, 0)
