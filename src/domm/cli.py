@@ -99,12 +99,11 @@ def main():
 @click.option("--manifest", "manifest_path", required=True, type=click.Path(exists=True))
 @click.option("--out", "out_dir", required=True, type=click.Path())
 @click.option("--split", default="all", show_default=True)
-@click.option("--eps-tie", default=0.0, show_default=True, help="Tie tolerance for pairwise comparisons.")
 @_fail_on_data_errors
-def convert(manifest_path, out_dir, split, eps_tie):
+def convert(manifest_path, out_dir, split):
     """Convert interval annotations to consensus label and rank files."""
     manifest = load_manifest(manifest_path)
-    labels = convert_labels(manifest, split, eps_tie=eps_tie)
+    labels = convert_labels(manifest, split)
     out = output_dir(out_dir)
     for uid in sorted(labels):
         aol, rol = labels[uid]
@@ -166,12 +165,13 @@ def sweep(manifest_path, out_dir, theta2_min, theta2_max, theta2_step, theta_sum
 @_fail_on_data_errors
 def synth(out_dir, config_path, seed, utterances, frames, theta):
     """Generate a seeded synthetic corpus with latent ground truth."""
+    thresholds = ThresholdConfig(-theta, theta)
     cfg = _load_config(
         SynthConfig, config_path, seed=seed, n_utterances=utterances, frames_per_utterance=frames
     )
     corpus = generate_corpus(cfg)
     out = output_dir(out_dir)
-    manifest_path = write_corpus(corpus, out, thresholds=(-theta, theta))
+    manifest_path = write_corpus(corpus, out, thresholds)
     _write_run_record(out, cfg)
     click.echo(f"wrote corpus manifest {manifest_path}")
 
@@ -229,12 +229,10 @@ def decode(bundle_path, manifest_path, out_dir, labels_dir, config_path, split):
 @click.option("--labels", "labels_dir", required=True, type=click.Path(exists=True))
 @click.option("--out", "out_dir", required=True, type=click.Path())
 @click.option("--split", default="test", show_default=True)
-@click.option("--config", "config_path", type=click.Path(exists=True))
 @_fail_on_data_errors
-def eval_cmd(manifest_path, pred_dir, labels_dir, out_dir, split, config_path):
+def eval_cmd(manifest_path, pred_dir, labels_dir, out_dir, split):
     """Score predictions against converted ground truth."""
     manifest = load_manifest(manifest_path)
-    config = _load_config(ExperimentConfig, config_path)
     entries = manifest.split_entries(split)
     truth = load_labels_dir(labels_dir, entries)
     pred_dir = Path(pred_dir)
@@ -249,10 +247,10 @@ def eval_cmd(manifest_path, pred_dir, labels_dir, out_dir, split, config_path):
         if rol_path.exists():
             pred_rols[uid] = read_rol_csv(rol_path)
     fold = evaluate_fold(split, pred_aols, pred_rols, truth)
-    report = make_report([fold], config)
+    report = make_report([fold])
     out = output_dir(out_dir)
     write_report(report, out)
-    _write_run_record(out, config)
+    _write_run_record(out)
     click.echo(
         f"uar={fold['uar']:.2f} kappa={fold['kappa']:.4f} "
         f"tau={fold['tau_mean'] if fold['tau_mean'] is not None else 'n/a'} -> {out / 'report.json'}"

@@ -258,17 +258,20 @@ class ManifestEntry:
 
 @dataclass(frozen=True)
 class Preprocessing(Config):
-    """Annotation smoothing: a delay shift, then windows of ``window_s`` overlapping by ``overlap``."""
+    """Annotation conversion: a delay shift, windows of ``window_s`` overlapping by ``overlap``,
+    and ``eps_tie``, the value difference up to which a pairwise comparison counts as a tie."""
 
     delay_s: float
     window_s: float
     overlap: float
+    eps_tie: float = 0.0
 
     def __post_init__(self):
         self._check(
             ("delay_s", is_positive(self.delay_s, or_zero=True), "a number >= 0"),
             ("window_s", is_positive(self.window_s), "a positive number"),
             ("overlap", is_positive(self.overlap, or_zero=True) and self.overlap < 1, "a number in [0, 1)"),
+            ("eps_tie", is_positive(self.eps_tie, or_zero=True), "a number >= 0"),
         )
 
 
@@ -276,7 +279,7 @@ BOUNDARY_MODES = ("text-rule", "table-half-open")
 
 
 @dataclass(frozen=True)
-class ThresholdConfig:
+class ThresholdConfig(Config):
     """Two thresholds splitting the value range into Low / Medium / High.
 
     ``text-rule``:       Low on (-inf, theta1], Medium on (theta1, theta2], High above.
@@ -288,12 +291,13 @@ class ThresholdConfig:
     boundary_mode: str = "text-rule"
 
     def __post_init__(self):
-        thetas = (self.theta1, self.theta2)
-        numeric = all(isinstance(t, numbers.Real) and not isinstance(t, bool) for t in thetas)
-        if not (numeric and self.theta1 < self.theta2):
-            raise DataError(f"thresholds must be numbers with theta1 < theta2, got {self.theta1!r}, {self.theta2!r}")
-        if self.boundary_mode not in BOUNDARY_MODES:
-            raise DataError(f"unknown boundary_mode {self.boundary_mode!r}")
+        finite = [not isinstance(t, bool) and isinstance(t, numbers.Real) and math.isfinite(t)
+                  for t in (self.theta1, self.theta2)]
+        self._check(
+            ("theta1", finite[0], "a finite number"),
+            ("theta2", all(finite) and self.theta1 < self.theta2, "a finite number above theta1"),
+            ("boundary_mode", self.boundary_mode in BOUNDARY_MODES, f"one of {BOUNDARY_MODES}"),
+        )
 
 
 @dataclass(frozen=True)
@@ -635,13 +639,12 @@ def load_manifest(path) -> DatasetManifest:
         lo, hi = float(raw["value_range"][0]), float(raw["value_range"][1])
         if not lo < hi:
             raise DataError(f"{path}: value_range [{lo}, {hi}] must have low < high")
-        pre, th = raw["preprocessing"], raw["thresholds"]
         manifest = DatasetManifest(
             dataset_name=str(raw["dataset_name"]),
             dimension_name=str(raw["dimension_name"]),
             value_range=(lo, hi),
-            preprocessing=Preprocessing(pre["delay_s"], pre["window_s"], pre["overlap"]),
-            thresholds=ThresholdConfig(th["theta1"], th["theta2"], th.get("boundary_mode", "text-rule")),
+            preprocessing=Preprocessing.from_dict(raw["preprocessing"]),
+            thresholds=ThresholdConfig.from_dict(raw["thresholds"]),
             utterances=tuple(entries),
         )
     except (AttributeError, KeyError, TypeError, IndexError, ValueError) as exc:

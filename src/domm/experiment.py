@@ -85,7 +85,6 @@ class ExperimentConfig(Config):
     min_cell_samples: int = 10
     divide_by_prior: bool = False
     use_normalized_ranks: bool = True
-    eps_tie: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
@@ -99,7 +98,6 @@ class ExperimentConfig(Config):
             ("min_cell_samples", is_positive(self.min_cell_samples, integral=True), "a positive integer"),
             ("divide_by_prior", isinstance(self.divide_by_prior, bool), "true or false"),
             ("use_normalized_ranks", isinstance(self.use_normalized_ranks, bool), "true or false"),
-            ("eps_tie", is_positive(self.eps_tie, or_zero=True), "a number >= 0"),
             ("seed", is_positive(self.seed, integral=True, or_zero=True), "an integer >= 0"),
         )
 
@@ -116,16 +114,14 @@ def fold_seed(root_seed: int, fold: str) -> int:
 
 
 def convert_labels(
-    manifest: DatasetManifest, split: str = "all", eps_tie: float = 0.0
+    manifest: DatasetManifest, split: str = "all"
 ) -> dict[str, tuple[AolSequence, RolSequence]]:
     """Consensus labels and ranks for every utterance of the split, under its manifest id."""
-    if not is_positive(eps_tie, or_zero=True):
-        raise DataError(f"eps_tie must be a number >= 0, got {eps_tie!r}")
     out = {}
     for entry in manifest.split_entries(split):
         ann = parse_annotations(entry.annotations_path, manifest.value_range)
         ann = replace(ann, utterance_id=entry.utterance_id)
-        consensus, ranks, _ = convert_annotation_set(ann, manifest.thresholds, manifest.preprocessing, eps_tie)
+        consensus, ranks, _ = convert_annotation_set(ann, manifest.thresholds, manifest.preprocessing)
         out[entry.utterance_id] = (consensus, ranks)
     return out
 
@@ -180,16 +176,21 @@ def _check_frame_counts(features, labels) -> None:
 
 
 def fit_bundle(features, labels, config: ExperimentConfig) -> ModelBundle:
-    """Train the variant's components on the given utterances' frames and labels, z-scored once."""
+    """Train the variant's components on the given utterances' frames and labels, z-scored once.
+
+    The utterances are stacked in sorted-id order, so the order of ``features``
+    (the manifest's) does not change a byte of the bundle.
+    """
     if not features:
         raise DataError("empty training split")
     _check_frame_counts(features, labels)
-    x = np.vstack(list(features.values()), dtype=float)  # a copy, so z-scored in place
+    uids = sorted(features)
+    x = np.vstack([features[uid] for uid in uids], dtype=float)  # a copy, so z-scored in place
     mean, std = fit_standardization(x)
     x -= mean
     x /= std
-    aols = [labels[uid][0] for uid in features]
-    rols = [labels[uid][1] for uid in features]
+    aols = [labels[uid][0] for uid in uids]
+    rols = [labels[uid][1] for uid in uids]
     label_vec = np.concatenate([a.labels for a in aols])
     omsvm = train_omsvm(x, label_vec, config.svm_c, direction=config.direction)
     ranker = None
@@ -347,11 +348,10 @@ def _aggregate(folds: list[dict]) -> dict:
     return out
 
 
-def make_report(folds: list[dict], config: ExperimentConfig) -> dict:
+def make_report(folds: list[dict]) -> dict:
+    """The folds and their aggregate; the command's ``run.json`` records the config."""
     return {
         "tool_version": __version__,
-        "config": config.to_dict(),
-        "config_hash": config.config_hash(),
         "folds": folds,
         "aggregate": _aggregate(folds),
     }
@@ -411,7 +411,7 @@ def run_xval(
     folds = manifest.split_tags()
     if len(folds) < 2:
         raise DataError("cross-validation needs at least two fold tags")
-    labels = convert_labels(manifest, "all", eps_tie=config.eps_tie)
+    labels = convert_labels(manifest, "all")
     features = load_features(manifest.utterances)
     _check_frame_counts(features, labels)
     results = []
@@ -429,4 +429,4 @@ def run_xval(
         if out_dir is not None:
             save_model_bundle(bundle, output_dir(Path(out_dir) / f"fold_{fold}") / "model.json")
         results.append(result)
-    return make_report(results, config)
+    return make_report(results)

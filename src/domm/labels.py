@@ -261,12 +261,13 @@ def ranks_from_consensus(blocks, utterance_id: str = "") -> RolSequence:
 
 
 def convert_annotation_set(
-    ann: AnnotationSet, cfg: ThresholdConfig, pre: Preprocessing, eps_tie: float = 0.0
+    ann: AnnotationSet, cfg: ThresholdConfig, pre: Preprocessing
 ) -> tuple[AolSequence, RolSequence, list[AolSequence]]:
     """Full conversion for one utterance: consensus labels, consensus ranks, per-annotator labels.
 
     The series are smoothed by ``pre``, labelled under ``cfg``, and the
-    consensus ranks are built BLOCK_ROWS comparison-matrix rows at a time.
+    consensus ranks are built BLOCK_ROWS comparison-matrix rows at a time,
+    with ``pre.eps_tie`` as the comparisons' tie tolerance.
     """
     smoothed = preprocess_annotations(ann, pre)
     per_annotator = [
@@ -275,6 +276,6 @@ def convert_annotation_set(
     ]
     consensus = consensus_aol(per_annotator)
     rows = [slice(i, i + BLOCK_ROWS) for i in range(0, smoothed.n_samples, BLOCK_ROWS)]
-    blocks = (qa_consensus([comparison_matrix(v, eps_tie, r) for v in smoothed.values]) for r in rows)
+    blocks = (qa_consensus([comparison_matrix(v, pre.eps_tie, r) for v in smoothed.values]) for r in rows)
     ranks = ranks_from_consensus(blocks, ann.utterance_id)
     return consensus, ranks, per_annotator

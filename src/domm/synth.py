@@ -18,6 +18,7 @@ import numpy as np
 from domm.core import (
     AnnotationSet,
     Config,
+    ThresholdConfig,
     UtteranceFeatures,
     is_positive,
     write_csv,
@@ -111,15 +112,14 @@ def generate_corpus(cfg: SynthConfig) -> SynthCorpus:
 def write_corpus(
     corpus: SynthCorpus,
     out_dir,
-    thresholds: tuple[float, float] = (-0.215, 0.215),
+    thresholds: ThresholdConfig = ThresholdConfig(-0.215, 0.215),
 ) -> Path:
     """Write the corpus in the pipeline's CSV formats plus latent truth and manifest.
 
     The first half of the utterances is tagged ``train`` and the second half
-    ``test``. The manifest's dimension is ``arousal`` and its boundary mode
-    ``text-rule``. Returns the manifest path. Window length equals one frame (the
-    generator emits frame-aligned features and annotations), so conversion
-    yields one label per frame.
+    ``test``. The manifest's dimension is ``arousal``. Returns the manifest
+    path. Window length equals one frame (the generator emits frame-aligned
+    features and annotations), so conversion yields one label per frame.
     """
     out = Path(out_dir)
     (out / "features").mkdir(parents=True, exist_ok=True)
@@ -158,11 +158,7 @@ def write_corpus(
         "dimension_name": "arousal",
         "value_range": [-1.0, 1.0],
         "preprocessing": {"delay_s": 0.0, "window_s": cfg.frame_period_s, "overlap": 0.0},
-        "thresholds": {
-            "theta1": thresholds[0],
-            "theta2": thresholds[1],
-            "boundary_mode": "text-rule",
-        },
+        "thresholds": thresholds.to_dict(),
         "synth_config": cfg.to_dict(),
         "utterances": entries,
     }

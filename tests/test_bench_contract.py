@@ -9,11 +9,14 @@ test; this one runs the traced round trip in-process and fails instead.
 import json
 from pathlib import Path
 
+import numpy as np
 from click.testing import CliRunner
 
 import domm.cli  # noqa: F401 - every domm module must be loaded before the tracer patches bindings
 from domm import synth
 from domm.cli import main
+from domm.core import load_manifest
+from domm.experiment import convert_labels
 
 ROOT = Path(__file__).resolve().parents[1]
 # per-layer metrics that bench.py measures itself rather than reading off a traced pass
@@ -49,3 +52,33 @@ def test_traced_round_trip_feeds_every_per_layer_metric(tmp_path, monkeypatch):
     metrics = tracing.layer_metrics(spans, counts)
     assert set(metrics) == declared - MEASURED_BY_BENCH
     assert [name for name, value in metrics.items() if not value > 0] == []
+
+
+def test_bench_xval_check_agrees_with_xval_under_a_manifest_eps_tie(tmp_path, monkeypatch):
+    """``checks.check_xval`` rebuilds the truth from the manifest alone, as ``xval`` does.
+
+    So a tie tolerance set in the manifest reaches both, and the recomputed
+    tau of every fold matches the reported one.
+    """
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import checks
+
+    cfg = synth.SynthConfig(n_utterances=6, frames_per_utterance=80, feature_dim=4, n_annotators=4, seed=5)
+    manifest_path = synth.write_corpus(synth.generate_corpus(cfg), tmp_path)
+    raw = json.loads(manifest_path.read_text())
+    for i, entry in enumerate(raw["utterances"]):
+        entry["split"] = f"f{i % 3}"
+    for name, eps_tie in (("at_zero.json", 0.0), ("manifest.json", 0.05)):
+        raw["preprocessing"]["eps_tie"] = eps_tie
+        (tmp_path / name).write_text(json.dumps(raw))
+    at_eps = convert_labels(load_manifest(manifest_path))
+    at_zero = convert_labels(load_manifest(tmp_path / "at_zero.json"))
+    # the tolerance changes the truth, so a check still at 0.0 would disagree
+    assert any(not np.array_equal(at_eps[uid][1].ranks, at_zero[uid][1].ranks) for uid in at_eps)
+
+    args = ["xval", "--manifest", str(manifest_path), "--out", str(tmp_path / "xval"), "--variant", "domm-rs"]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 0, result.output
+    problems: list[str] = []
+    assert checks.check_xval(tmp_path, 3, problems) is not None
+    assert problems == []

@@ -10,7 +10,7 @@ from click.testing import CliRunner
 
 from domm.bundle import FORMAT_VERSION, load_model_bundle
 from domm.cli import main
-from domm.core import load_manifest, parse_features, read_aol_csv
+from domm.core import ThresholdConfig, load_manifest, parse_features, read_aol_csv
 from domm.omsvm import state_posteriors
 from domm.synth import SynthConfig, generate_corpus, write_corpus
 
@@ -29,7 +29,7 @@ def corpus_dir(tmp_path_factory):
         feature_noise_std=0.4,
         seed=11,
     )
-    write_corpus(generate_corpus(cfg), root, thresholds=(-0.215, 0.215))
+    write_corpus(generate_corpus(cfg), root, thresholds=ThresholdConfig(-0.215, 0.215))
     return root
 
 
@@ -157,15 +157,33 @@ class TestConvert:
         assert result.exit_code == 2
         assert "gone.csv" in result.output
 
-    @pytest.mark.parametrize("eps", ["-0.5", "nan"])
+    @pytest.mark.parametrize("eps", [-0.5, "0.05", True], ids=["-0.5", "string", "bool"])
     def test_bad_eps_tie_exits_2_writing_nothing(self, corpus_dir, tmp_path, eps):
+        manifest = relocatable_manifest(corpus_dir)
+        manifest["preprocessing"]["eps_tie"] = eps
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
         out = tmp_path / "o"
-        result = run_cli(
-            "convert", "--manifest", corpus_dir / "manifest.json", "--out", out, "--eps-tie", eps
-        )
+        result = run_cli("convert", "--manifest", path, "--out", out)
         assert result.exit_code == 2, result.output
         assert result.output.startswith("error:") and "eps_tie" in result.output
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["convert", "train"])
+    @pytest.mark.parametrize(
+        "block, key", [("preprocessing", "overlap_s"), ("thresholds", "mode")], ids=["preprocessing", "thresholds"]
+    )
+    def test_unknown_manifest_key_exits_2(self, corpus_dir, tmp_path, command, block, key):
+        """A misspelled key would otherwise leave its setting at the default without a word."""
+        labels = convert(corpus_dir, tmp_path / "labels")
+        manifest = relocatable_manifest(corpus_dir)
+        manifest[block][key] = 0.5
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        extra = ("--labels", labels) if command == "train" else ()
+        result = run_cli(command, "--manifest", path, *extra, "--out", tmp_path / "o")
+        assert_exit_2(result, f"keys ['{key}']")
+        assert not (tmp_path / "o").exists()
 
     def test_non_utf8_inputs_exit_2(self, corpus_dir, tmp_path):
         bad = tmp_path / "bad.bin"
@@ -385,8 +403,10 @@ class TestTrain:
             # configs written before denominator_mode and pair_cap were removed
             {"denominator_mode": "marginalized"},
             {"pair_cap": 200000},
+            # eps_tie moved to the manifest's preprocessing block
+            {"eps_tie": 0.0},
         ],
-        ids=["bandwidth", "svm_c", "denominator_mode", "pair_cap"],
+        ids=["bandwidth", "svm_c", "denominator_mode", "pair_cap", "eps_tie"],
     )
     def test_bad_config_exits_2(self, corpus_dir, tmp_path, config):
         labels = convert(corpus_dir, tmp_path / "labels")
@@ -656,7 +676,7 @@ class TestEval:
             annotation_scale=0.25, seed=19,
         )
         corpus = tmp_path / "corpus"
-        write_corpus(generate_corpus(cfg), corpus, thresholds=(-0.11, 0.11))
+        write_corpus(generate_corpus(cfg), corpus, thresholds=ThresholdConfig(-0.11, 0.11))
         labels = convert(corpus, tmp_path / "labels")
         # use the truth files themselves as predictions
         result = run_cli(
@@ -670,7 +690,7 @@ class TestEval:
         assert fold["kappa"] == 1.0
         assert fold["tau_mean"] == 1.0
         assert all(v == 1.0 for v in fold["p_at_k"].values())
-        assert report["config_hash"]
+        assert "config" not in report and "config_hash" not in report
         assert (tmp_path / "report" / "report.csv").exists()
 
     def test_one_frame_utterance_gets_no_rank_metrics(self, corpus_dir, tmp_path):
@@ -822,6 +842,43 @@ class TestXval:
         assert "duplicate" in result.output
 
 
+    def test_manifest_order_changes_no_bundle_or_metric(self, tmp_path):
+        """Metamorphic: reversing a manifest that is not in sorted-id order changes no output.
+
+        ``fit_bundle`` stacks the training utterances in sorted-id order, so the
+        ``train`` bundle, every ``xval`` fold bundle and every fold's metrics
+        are the same bytes whichever order the manifest lists them in.
+        """
+        corpus = tmp_path / "corpus"
+        cfg = SynthConfig(n_utterances=8, frames_per_utterance=150, seed=23)
+        write_corpus(generate_corpus(cfg), corpus)
+        raw = json.loads((corpus / "manifest.json").read_text())
+        entries = raw["utterances"]
+        for i, entry in enumerate(entries):
+            entry["split"] = f"f{i % 2}"
+        shuffled = [entries[i] for i in (3, 0, 6, 1, 7, 4, 2, 5)]
+        ids = [entry["utterance_id"] for entry in shuffled]
+        assert ids != sorted(ids) and ids[::-1] != sorted(ids)
+        labels = convert(corpus, tmp_path / "labels")
+        outputs = []
+        for name, order in (("shuffled", shuffled), ("reversed", shuffled[::-1])):
+            path = corpus / f"{name}.json"
+            path.write_text(json.dumps({**raw, "utterances": order}))
+            for args in (
+                ("train", "--manifest", path, "--labels", labels, "--split", "f0", "--variant", "domm-rs"),
+                ("xval", "--manifest", path, "--variant", "domm-rs"),
+            ):
+                result = run_cli(*args, "--out", tmp_path / name / args[0])
+                assert result.exit_code == 0, result.output
+            report = json.loads((tmp_path / name / "xval" / "report.json").read_text())
+            bundles = {
+                str(p.relative_to(tmp_path / name)): p.read_bytes() for p in (tmp_path / name).glob("**/model.json")
+            }
+            outputs.append((bundles, {fold["fold"]: fold for fold in report["folds"]}))
+        assert len(outputs[0][0]) == 3
+        assert outputs[0] == outputs[1]
+
+
 class TestSweepAndSynth:
     def test_sweep_seven_rows(self, corpus_dir, tmp_path):
         out = tmp_path / "sweep"
@@ -886,8 +943,14 @@ class TestSweepAndSynth:
 
     @pytest.mark.parametrize(
         "args, config",
-        [(["--seed", "-1"], None), ([], {"seed": 1.5}), (["--seed", "3"], [1, 2])],
-        ids=["negative-seed", "float-seed", "list-config"],
+        [
+            (["--seed", "-1"], None),
+            ([], {"seed": 1.5}),
+            (["--seed", "3"], [1, 2]),
+            # a manifest convert would reject, and non-finite thresholds, fail before writing anything
+            *((["--theta", theta], None) for theta in ("0", "-0.2", "nan", "inf")),
+        ],
+        ids=["negative-seed", "float-seed", "list-config", "zero-theta", "negative-theta", "nan-theta", "inf-theta"],
     )
     def test_bad_synth_input_exits_2(self, tmp_path, args, config):
         if config is not None:

@@ -328,8 +328,8 @@ def test_convert_annotation_set_end_to_end():
     series = [np.clip(base + rng.normal(scale=0.02, size=60), -1, 1) for _ in range(5)]
     ann = make_annotations(series)
     cfg = ThresholdConfig(-0.3, 0.3)
-    pre = Preprocessing(0.0, 0.2, 0.0)
-    consensus, ranks, per_annotator = convert_annotation_set(ann, cfg, pre, eps_tie=0.01)
+    pre = Preprocessing(0.0, 0.2, 0.0, eps_tie=0.01)
+    consensus, ranks, per_annotator = convert_annotation_set(ann, cfg, pre)
     smoothed = preprocess_annotations(ann, pre).values
     np.testing.assert_array_equal(ranks.ranks, dense_consensus_ranks(smoothed, 0.01))
     np.testing.assert_array_equal(
@@ -352,7 +352,7 @@ def test_convert_annotation_set_end_to_end():
 def test_blocked_ranks_equal_dense_consensus(n_annotators, n_frames, steps, eps_tie, seed):
     values = tied_series(seed, n_annotators, n_frames, steps)
     ann = make_annotations(values, period=1.0)
-    _, ranks, _ = convert_annotation_set(ann, ThresholdConfig(-0.3, 0.3), Preprocessing(0.0, 1.0, 0.0), eps_tie)
+    _, ranks, _ = convert_annotation_set(ann, ThresholdConfig(-0.3, 0.3), Preprocessing(0.0, 1.0, 0.0, eps_tie))
     np.testing.assert_array_equal(ranks.ranks, dense_consensus_ranks(values, eps_tie))
 
 
@@ -362,7 +362,7 @@ def test_convert_peak_memory_under_40mb_at_3000_frames():
     ann = make_annotations(tied_series(13, 6, 3000, steps=20), period=1.0)
     tracemalloc.start()
     try:
-        convert_annotation_set(ann, ThresholdConfig(-0.3, 0.3), Preprocessing(0.0, 1.0, 0.0), 0.01)
+        convert_annotation_set(ann, ThresholdConfig(-0.3, 0.3), Preprocessing(0.0, 1.0, 0.0, 0.01))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -99,3 +99,11 @@ def test_standardization_is_decided_in_experiment_and_bundle_only():
                 takers.append(f"{path.stem}.{name}")
     assert takers == []
     assert [f.name for f in fields(LinearModel)] == ["weights", "bias"]
+
+
+def test_eps_tie_is_bound_only_in_core_and_labels():
+    """The manifest's ``preprocessing`` block is the tie tolerance's one home: ``core`` declares it, ``labels`` reads it."""
+    binders = sorted(
+        path.stem for path in PACKAGE.glob("*.py") if "eps_tie" in bound_names(ast.parse(path.read_text()))
+    )
+    assert binders == ["core", "labels"]
