@@ -37,6 +37,7 @@ from domm.core import (
     write_rol_csv,
 )
 from domm.experiment import (
+    VARIANTS,
     ExperimentConfig,
     convert_labels,
     decode_entries,
@@ -182,7 +183,7 @@ def synth(out_dir, config_path, seed, utterances, frames, theta):
 @click.option("--out", "out_dir", required=True, type=click.Path())
 @click.option("--config", "config_path", type=click.Path(exists=True))
 @click.option("--seed", type=int, default=None)
-@click.option("--variant", type=click.Choice(["omsvm-only", "domm-rs", "domm-gt"]), default=None)
+@click.option("--variant", type=click.Choice(VARIANTS), default=None)
 @click.option("--split", default="train", show_default=True)
 @_fail_on_data_errors
 def train(manifest_path, labels_dir, out_dir, config_path, seed, variant, split):
@@ -262,7 +263,7 @@ def eval_cmd(manifest_path, pred_dir, labels_dir, out_dir, split):
 @click.option("--out", "out_dir", required=True, type=click.Path())
 @click.option("--config", "config_path", type=click.Path(exists=True))
 @click.option("--seed", type=int, default=None)
-@click.option("--variant", type=click.Choice(["omsvm-only", "domm-rs", "domm-gt"]), default=None)
+@click.option("--variant", type=click.Choice(VARIANTS), default=None)
 @_fail_on_data_errors
 def xval(manifest_path, out_dir, config_path, seed, variant):
     """Cross-validate over the manifest's fold tags."""

@@ -610,6 +610,8 @@ def load_manifest(path) -> DatasetManifest:
     that training never has to touch (or even see) held-out split files.
     Ids name label files and tags name ``fold_<tag>`` directories, so each must
     be a plain file name: not empty, ``.`` or ``..``, and free of ``/``, ``\\`` and NUL.
+    No tag may be ``all``, the split that selects every utterance. Every error
+    names the manifest file.
     """
     path = Path(path)
     raw = read_json(path, "manifest")
@@ -622,9 +624,11 @@ def load_manifest(path) -> DatasetManifest:
             split = str(item["split"])
             for what, name in (("utterance id", uid), ("split tag", split)):
                 if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
-                    raise DataError(f"{path}: {what} {name!r} is not a plain file name")
+                    raise DataError(f"{what} {name!r} is not a plain file name")
+            if split == "all":
+                raise DataError("split tag 'all' is reserved for every utterance")
             if uid in seen_ids:
-                raise DataError(f"{path}: duplicate utterance id {uid!r}")
+                raise DataError(f"duplicate utterance id {uid!r}")
             seen_ids.add(uid)
             entries.append(
                 ManifestEntry(
@@ -635,10 +639,10 @@ def load_manifest(path) -> DatasetManifest:
                 )
             )
         if not entries:
-            raise DataError(f"{path}: manifest declares no utterances")
+            raise DataError("manifest declares no utterances")
         lo, hi = float(raw["value_range"][0]), float(raw["value_range"][1])
         if not lo < hi:
-            raise DataError(f"{path}: value_range [{lo}, {hi}] must have low < high")
+            raise DataError(f"value_range [{lo}, {hi}] must have low < high")
         manifest = DatasetManifest(
             dataset_name=str(raw["dataset_name"]),
             dimension_name=str(raw["dimension_name"]),
@@ -647,6 +651,8 @@ def load_manifest(path) -> DatasetManifest:
             thresholds=ThresholdConfig.from_dict(raw["thresholds"]),
             utterances=tuple(entries),
         )
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
     except (AttributeError, KeyError, TypeError, IndexError, ValueError) as exc:
         raise DataError(f"{path}: malformed manifest: {exc!r}") from exc
     return manifest

@@ -172,7 +172,7 @@ def train_ranksvm(features, pairs: np.ndarray, c: float = 1e-4) -> LinearModel:
     p0, p1 = pairs.T
     last = {}  # the previous step's active mask and Hessian sum
 
-    def gram(active):
+    def hessian(active):
         if last:
             entered = np.flatnonzero(active > last["active"])
             left = np.flatnonzero(active < last["active"])
@@ -182,9 +182,9 @@ def train_ranksvm(features, pairs: np.ndarray, c: float = 1e-4) -> LinearModel:
             total = last["gram"] + _pair_gram(x, p0[entered], p1[entered])
             total -= _pair_gram(x, p0[left], p1[left])
         last.update(active=active, gram=total)
-        return total
+        return np.eye(x.shape[1]) + 2.0 * c * total
 
-    params, _ = _newton_loop(lambda w: _pair_objective(w, x, p0, p1, c), gram, c, np.ones(x.shape[1]))
+    params, _ = _newton_loop(lambda w: _pair_objective(w, x, p0, p1, c), hessian, np.zeros(x.shape[1]))
     return LinearModel(weights=params, bias=0.0)
 
 

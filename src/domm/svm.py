@@ -7,16 +7,18 @@ Training minimizes the L2-regularized squared hinge loss
 in the primal with a damped Newton method (Chapelle 2007: generalized Hessian
 on the set of margin violators, backtracking line search). The bias is an
 appended constant-1 input excluded from regularization. Everything is
-deterministic: zero initialization, no randomness.
+deterministic: fixed start points, no randomness.
 
-There is one Newton loop, ``_newton_loop``, and two evaluators feed it:
-``objective_and_gradient`` on dense rows with +/-1 targets here, and the
+There is one Newton loop, ``_newton_loop``, and three evaluators feed it:
+``objective_and_gradient`` on dense rows with +/-1 targets here, the
 ranker's pair-index evaluator in ``ranksvm``, which scores frames instead of
-pair differences. Each iterate is evaluated once. The evaluation that
-accepts a step also returns that iterate's violators (here the violator
-rows), and the next Newton step builds its Hessian from them instead of
-recomputing the scores. The solver drops them before its line search, so it
-holds at most one copy of them next to the inputs.
+pair differences, and ``fit_platt``'s cross-entropy evaluator for the
+two-parameter sigmoid (Lin, Lin & Weng 2007). Each iterate is evaluated
+once. The evaluation that accepts a step also returns the state that
+iterate's Hessian is built from (here the violator rows), and the next
+Newton step builds its Hessian from it instead of recomputing the scores.
+The solver drops that state before its line search, so it holds at most one
+copy of it next to the inputs.
 
 Models train and score on features as given: the pipeline z-scores them first.
 """
@@ -139,47 +141,46 @@ def newton_squared_hinge(inputs, targets, c, fit_bias=True):
     if fit_bias:
         reg_diag[-1] = 0.0
 
-    def gram(rows):
+    def hessian(rows):
         if fit_bias:
             rows = np.hstack([rows, np.ones((rows.shape[0], 1))])
-        return rows.T @ rows
+        return np.diag(reg_diag) + 2.0 * c * (rows.T @ rows)
 
     return _newton_loop(
-        lambda params: objective_and_gradient(params, inputs, targets, c, fit_bias), gram, c, reg_diag
+        lambda params: objective_and_gradient(params, inputs, targets, c, fit_bias), hessian, np.zeros(reg_diag.size)
     )
 
 
-def _newton_loop(evaluate, gram, c, reg_diag):
-    """The damped Newton solve behind ``newton_squared_hinge`` and the ranker.
+def _newton_loop(evaluate, hessian, params):
+    """The damped Newton solve behind every fit: the squared hinge, the ranker and Platt's sigmoid.
 
-    ``evaluate(params)`` returns (objective, gradient, active), where
-    ``active`` stands for the margin violators in whatever form ``gram``
-    takes; ``gram(active)`` returns their generalized-Hessian sum of outer
-    products. ``reg_diag`` weighs the regularizer per parameter and sets the
-    parameter count. The solver drops ``active`` right after building the
-    Hessian and after each rejected candidate, so it holds at most one
-    iterate's violators at a time.
+    ``evaluate(params)`` returns (objective, gradient, state), where
+    ``state`` is whatever ``hessian`` builds the generalized Hessian from
+    (violator rows, an active-pair mask, sigmoid probabilities);
+    ``hessian(state)`` returns that Hessian as a new array. ``params`` is the
+    start point. The solver drops ``state`` right after building the Hessian
+    and after each rejected candidate, so it holds at most one iterate's
+    state at a time. Returns (params, objective trace).
     """
-    params = np.zeros(reg_diag.size)
-    obj, grad, active = evaluate(params)
+    obj, grad, state = evaluate(params)
     trace = [obj]
     for _ in range(MAX_NEWTON_STEPS):
         if np.linalg.norm(grad) <= GRAD_TOL:
             break
-        hess = np.diag(reg_diag) + 2.0 * c * gram(active)
-        active = None  # each line-search evaluation finds its own violators
-        hess[np.diag_indices_from(hess)] += 1e-10  # keeps the bias block solvable when no violators remain
+        hess = hessian(state)
+        state = None  # each line-search evaluation finds its own
+        hess[np.diag_indices_from(hess)] += 1e-10  # solvable with no violators left, or on constant Platt scores
         direction = np.linalg.solve(hess, -grad)
         slope = grad @ direction
         step = 1.0
         accepted = False
         for _ in range(MAX_BACKTRACKS + 1):
             candidate = params + step * direction
-            new_obj, new_grad, active = evaluate(candidate)
+            new_obj, new_grad, state = evaluate(candidate)
             if new_obj <= obj + 1e-4 * step * slope:
                 accepted = True
                 break
-            active = None  # freed before the next candidate finds its own
+            state = None  # freed before the next candidate finds its own
             step *= 0.5
         if not accepted or new_obj >= obj:
             break
@@ -221,11 +222,14 @@ def decision_values(model: LinearModel, features) -> np.ndarray:
 
 
 def fit_platt(scores, labels) -> PlattCalibration:
-    """Fit sigmoid parameters (a, b) to decision scores by Newton iteration.
+    """Fit sigmoid parameters (a, b) to decision scores with ``_newton_loop``.
 
     Targets are the smoothed values t+ = (N+ + 1)/(N+ + 2) and
     t- = 1/(N- + 2) rather than hard 0/1, which keeps the fit finite on
-    separable data. Callers are expected to supply cross-fitted scores.
+    separable data. The solve starts at a = 0, b = log((N- + 1)/(N+ + 1))
+    and stops as every Newton solve does: at a gradient norm of at most
+    ``GRAD_TOL``, at a step that does not lower the cross entropy, or after
+    ``MAX_NEWTON_STEPS``. Callers are expected to supply cross-fitted scores.
     """
     y = np.asarray(scores, dtype=float)
     lab = np.asarray(labels, dtype=float)
@@ -237,35 +241,21 @@ def fit_platt(scores, labels) -> PlattCalibration:
         raise DataError("Platt fit requires both classes")
     t = np.where(lab > 0, (n_pos + 1.0) / (n_pos + 2.0), 1.0 / (n_neg + 2.0))
 
-    def cross_entropy(a, b):
-        f = a * y + b
-        # log(1 + exp(f)) evaluated stably
-        return float(np.sum((t - 1.0) * f + np.maximum(f, 0.0) + np.log1p(np.exp(-np.abs(f)))))
-
-    a, b = 0.0, np.log((n_neg + 1.0) / (n_pos + 1.0))
-    obj = cross_entropy(a, b)
-    for _ in range(100):
-        p = _sigmoid(-(a * y + b))
+    def cross_entropy(params):
+        """Cross entropy of the targets under P = 1/(1 + exp(f)), f = a*y + b; its gradient; P."""
+        f = params[0] * y + params[1]
+        p = _sigmoid(-f)
         resid = t - p  # dCE/df
-        g = np.array([resid @ y, resid.sum()])
-        if np.max(np.abs(g)) < 1e-10:
-            break
+        # log(1 + exp(f)) evaluated stably
+        obj = float(np.sum((t - 1.0) * f + np.maximum(f, 0.0) + np.log1p(np.exp(-np.abs(f)))))
+        return obj, np.array([resid @ y, resid.sum()]), p
+
+    def hessian(p):
         d = p * (1.0 - p)
-        h_aa = d @ (y * y)
         h_ab = d @ y
-        h_bb = d.sum()
-        hess = np.array([[h_aa, h_ab], [h_ab, h_bb]])
-        hess[np.diag_indices_from(hess)] += 1e-12
-        step_a, step_b = np.linalg.solve(hess, -g)
-        scale = 1.0
-        for _ in range(MAX_BACKTRACKS + 1):
-            new_obj = cross_entropy(a + scale * step_a, b + scale * step_b)
-            if new_obj <= obj:
-                break
-            scale *= 0.5
-        if new_obj > obj:
-            break
-        a, b, obj = a + scale * step_a, b + scale * step_b, new_obj
+        return np.array([[d @ (y * y), h_ab], [h_ab, d.sum()]])
+
+    (a, b), _ = _newton_loop(cross_entropy, hessian, np.array([0.0, np.log((n_neg + 1.0) / (n_pos + 1.0))]))
     return PlattCalibration(a=float(a), b=float(b))
 
 

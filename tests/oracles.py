@@ -16,7 +16,7 @@ from domm import ranksvm
 from domm.core import AolSequence, DataError, average_ranks
 from domm.decoder import PROB_FLOOR, StateLattice
 from domm.labels import DECREASE, INCREASE, TIE, UNDECIDED
-from domm.svm import _newton_loop, newton_squared_hinge
+from domm.svm import MAX_BACKTRACKS, PlattCalibration, _newton_loop, _sigmoid, newton_squared_hinge
 from domm.transitions import DENSITY_FLOOR, SQRT_2PI, KdeModel, TransitionModel, transition_matrices
 
 BRUTE_FORCE_LIMIT = 12
@@ -230,10 +230,59 @@ def rebuilt_hessian_ranksvm(features, pairs, c):
     p0, p1 = np.asarray(pairs, dtype=int).T
     return _newton_loop(
         lambda w: ranksvm._pair_objective(w, x, p0, p1, c),
-        lambda active: ranksvm._pair_gram(x, p0[active], p1[active]),
-        c,
-        np.ones(x.shape[1]),
+        lambda active: np.eye(x.shape[1]) + 2.0 * c * ranksvm._pair_gram(x, p0[active], p1[active]),
+        np.zeros(x.shape[1]),
     )
+
+
+def own_loop_platt(scores, labels) -> PlattCalibration:
+    """Platt's sigmoid fit with a Newton loop of its own; the oracle for ``fit_platt``.
+
+    Up to 100 steps from a = 0, b = log((N- + 1)/(N+ + 1)) on the
+    smoothed targets, a 1e-12 ridge, a line search that asks only for no
+    increase, and a stop at max|g| < 1e-10 or on a step that raises the
+    cross entropy.
+    """
+    y = np.asarray(scores, dtype=float)
+    lab = np.asarray(labels, dtype=float)
+    if y.size != lab.size or y.size < 2:
+        raise DataError("need matching scores and labels, at least two points")
+    n_pos = int(np.sum(lab > 0))
+    n_neg = int(lab.size - n_pos)
+    if n_pos == 0 or n_neg == 0:
+        raise DataError("Platt fit requires both classes")
+    t = np.where(lab > 0, (n_pos + 1.0) / (n_pos + 2.0), 1.0 / (n_neg + 2.0))
+
+    def cross_entropy(a, b):
+        f = a * y + b
+        # log(1 + exp(f)) evaluated stably
+        return float(np.sum((t - 1.0) * f + np.maximum(f, 0.0) + np.log1p(np.exp(-np.abs(f)))))
+
+    a, b = 0.0, np.log((n_neg + 1.0) / (n_pos + 1.0))
+    obj = cross_entropy(a, b)
+    for _ in range(100):
+        p = _sigmoid(-(a * y + b))
+        resid = t - p  # dCE/df
+        g = np.array([resid @ y, resid.sum()])
+        if np.max(np.abs(g)) < 1e-10:
+            break
+        d = p * (1.0 - p)
+        h_aa = d @ (y * y)
+        h_ab = d @ y
+        h_bb = d.sum()
+        hess = np.array([[h_aa, h_ab], [h_ab, h_bb]])
+        hess[np.diag_indices_from(hess)] += 1e-12
+        step_a, step_b = np.linalg.solve(hess, -g)
+        scale = 1.0
+        for _ in range(MAX_BACKTRACKS + 1):
+            new_obj = cross_entropy(a + scale * step_a, b + scale * step_b)
+            if new_obj <= obj:
+                break
+            scale *= 0.5
+        if new_obj > obj:
+            break
+        a, b, obj = a + scale * step_a, b + scale * step_b, new_obj
+    return PlattCalibration(a=float(a), b=float(b))
 
 
 def per_cell_csv_matrix(path) -> np.ndarray:

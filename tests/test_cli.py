@@ -185,6 +185,24 @@ class TestConvert:
         assert_exit_2(result, f"keys ['{key}']")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "block, key, value, fragment",
+        [
+            ("preprocessing", "overlap_s", 0.5, "unknown Preprocessing keys ['overlap_s']"),
+            ("preprocessing", "eps_tie", -0.5, "Preprocessing eps_tie must be a number >= 0"),
+            ("thresholds", "boundary_mode", "x", "ThresholdConfig boundary_mode must be one of"),
+        ],
+        ids=["unknown-key", "eps-tie", "boundary-mode"],
+    )
+    def test_manifest_block_errors_name_the_manifest(self, corpus_dir, tmp_path, block, key, value, fragment):
+        manifest = relocatable_manifest(corpus_dir)
+        manifest[block][key] = value
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        result = run_cli("convert", "--manifest", path, "--out", tmp_path / "o")
+        assert_exit_2(result, f"error: {path}: {fragment}")
+        assert not (tmp_path / "o").exists()
+
     def test_non_utf8_inputs_exit_2(self, corpus_dir, tmp_path):
         bad = tmp_path / "bad.bin"
         bad.write_bytes(b"\xff\xfe{}\n")
@@ -283,6 +301,17 @@ class TestTrain:
             bundle = load_model_bundle(out / "model.json")
             assert (bundle.ranker is not None) == has_ranker
             assert (bundle.transitions is not None) == has_transitions
+
+    @pytest.mark.parametrize("command", ["train", "xval"])
+    def test_unknown_variant_exits_2(self, corpus_dir, tmp_path, command):
+        labels = ("--labels", corpus_dir) if command == "train" else ()
+        result = run_cli(
+            command, "--manifest", corpus_dir / "manifest.json", *labels, "--out", tmp_path / "o", "--variant", "domm"
+        )
+        assert result.exit_code == 2, result.output
+        assert "Invalid value for '--variant'" in result.output
+        assert "'omsvm-only', 'domm-rs', 'domm-gt'" in result.output
+        assert not (tmp_path / "o").exists()
 
     def test_same_seed_same_bytes(self, corpus_dir, tmp_path):
         labels = convert(corpus_dir, tmp_path / "labels")
@@ -878,6 +907,53 @@ class TestXval:
         assert len(outputs[0][0]) == 3
         assert outputs[0] == outputs[1]
 
+    def test_renaming_utterance_ids_in_sorted_order_changes_no_output(self, tmp_path):
+        """Metamorphic: new ids in the same sorted order change only file names and ``#utterance_id=`` lines.
+
+        Starting from a manifest that is not in sorted-id order, every label,
+        rank and prediction file and every bundle is the same bytes apart from
+        those, and every fold's metrics are the same numbers.
+        """
+        corpus = tmp_path / "corpus"
+        write_corpus(generate_corpus(SynthConfig(n_utterances=8, frames_per_utterance=150, seed=29)), corpus)
+        raw = json.loads((corpus / "manifest.json").read_text())
+        entries = [raw["utterances"][i] for i in (3, 0, 6, 1, 7, 4, 2, 5)]
+        for i, entry in enumerate(entries):
+            entry["split"] = f"f{i % 2}"
+        ids = [entry["utterance_id"] for entry in entries]
+        assert ids != sorted(ids)
+        renamed = {uid: f"speaker_{k}" for k, uid in enumerate(sorted(ids))}
+        outputs = []
+        for name, rename in (("original", lambda uid: uid), ("renamed", renamed.get)):
+            path = corpus / f"{name}.json"
+            utterances = [{**e, "utterance_id": rename(e["utterance_id"])} for e in entries]
+            path.write_text(json.dumps({**raw, "utterances": utterances}))
+            out = tmp_path / name
+            labels, bundle = out / "convert", out / "train" / "model.json"
+            for args in (
+                ("convert", "--manifest", path),
+                ("train", "--manifest", path, "--labels", labels, "--split", "f0", "--variant", "domm-rs"),
+                ("decode", "--bundle", bundle, "--manifest", path, "--split", "f1"),
+                ("xval", "--manifest", path, "--variant", "domm-rs"),
+            ):
+                result = run_cli(*args, "--out", out / args[0])
+                assert result.exit_code == 0, result.output
+            files = {}
+            for file in sorted(out.rglob("*.csv")) + sorted(out.rglob("model.json")):
+                if file.name == "report.csv":
+                    continue
+                uid, _, suffix = file.name.partition(".")
+                key = file.relative_to(out).with_name(f"{renamed.get(uid, uid)}.{suffix}")
+                lines = file.read_bytes().splitlines(keepends=True)
+                files[str(key)] = b"".join(line for line in lines if not line.startswith(b"#utterance_id="))
+            folds = json.loads((out / "xval" / "report.json").read_text())["folds"]
+            for fold in folds:
+                for row in fold["per_utterance"]:
+                    row["utterance_id"] = renamed.get(row["utterance_id"], row["utterance_id"])
+            outputs.append((files, folds))
+        assert len(outputs[0][0]) == 2 * 8 + 2 * 4 + 3  # labels, predictions, bundles
+        assert outputs[0] == outputs[1]
+
 
 class TestSweepAndSynth:
     def test_sweep_seven_rows(self, corpus_dir, tmp_path):
@@ -1015,6 +1091,13 @@ class TestManifestNames:
         assert result.exit_code == 0, result.output
         for path in (labels / "renamed.aol.csv", labels / "renamed.rol.csv", pred / "renamed.aol.csv"):
             assert path.read_text().splitlines()[0] == "#utterance_id=renamed"
+
+    def test_split_tag_all_exits_2(self, corpus_dir, tmp_path):
+        """``--split all`` selects every utterance, so a tag ``all`` could not be selected on its own."""
+        manifest = self.manifest_with(corpus_dir, tmp_path, split="all")
+        result = run_cli("convert", "--manifest", manifest, "--split", "all", "--out", tmp_path / "labels")
+        assert_exit_2(result, f"{manifest}: split tag 'all' is reserved for every utterance")
+        assert not (tmp_path / "labels").exists()
 
     def test_split_tag_climbing_out_of_out_exits_2(self, corpus_dir, tmp_path):
         manifest = self.manifest_with(corpus_dir, tmp_path, split="a/../../../esc")

@@ -107,3 +107,17 @@ def test_eps_tie_is_bound_only_in_core_and_labels():
         path.stem for path in PACKAGE.glob("*.py") if "eps_tie" in bound_names(ast.parse(path.read_text()))
     )
     assert binders == ["core", "labels"]
+
+
+def test_linear_solves_run_only_in_the_newton_loop():
+    """Every fit is a Newton solve, and ``svm._newton_loop`` is the one place that takes a Newton step."""
+    solvers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if getattr(node, "attr", None) == "solve" or getattr(node, "id", None) == "solve":
+                enclosing = [fn for fn in functions if fn.lineno <= node.lineno <= fn.end_lineno]
+                name = max(enclosing, key=lambda fn: fn.lineno).name if enclosing else "<module>"
+                solvers.append(f"{path.stem}.{name}")
+    assert solvers == ["svm._newton_loop"]

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 
-from domm.core import AolState, DataError
+from domm import omsvm
+from domm.core import AolState, DataError, load_manifest
+from domm.experiment import ExperimentConfig, convert_labels, fit_bundle, load_features
 from domm.metrics import uar
 from domm.omsvm import OmsvmModel, state_posteriors, train_omsvm
+from domm.synth import SynthConfig, generate_corpus, write_corpus
+from oracles import own_loop_platt
 
 L, M, H = 0, 1, 2
 
@@ -50,6 +54,21 @@ class TestTrain:
         for (ma, pa), (mb, pb) in zip(a.stage_models, b.stage_models):
             assert ma.weights.tobytes() == mb.weights.tobytes()
             assert (pa.a, pa.b) == (pb.a, pb.b)
+
+    def test_stage_calibrations_on_a_synth_corpus_match_the_own_loop_oracle(self, tmp_path, monkeypatch):
+        cfg = SynthConfig(n_utterances=6, frames_per_utterance=300, seed=4)
+        manifest = load_manifest(write_corpus(generate_corpus(cfg), tmp_path))
+        fit_platt, fits = omsvm.fit_platt, []
+
+        def recorded(scores, labels):
+            fits.append((fit_platt(scores, labels), own_loop_platt(scores, labels)))
+            return fits[-1][0]
+
+        monkeypatch.setattr(omsvm, "fit_platt", recorded)
+        fit_bundle(load_features(manifest.utterances), convert_labels(manifest), ExperimentConfig(variant="omsvm-only"))
+        assert len(fits) == 2
+        for got, want in fits:
+            np.testing.assert_allclose([got.a, got.b], [want.a, want.b], rtol=1e-6, atol=0)
 
 
 class TestPredict:

@@ -253,13 +253,13 @@ def pair_index_fit(monkeypatch, features, pairs, c):
     """``train_ranksvm``'s weights, objective trace and the active-pair count of each evaluation."""
     solves, active_counts = [], []
 
-    def recorded(evaluate, gram, c_, reg_diag):
+    def recorded(evaluate, hessian, params):
         def counted(w):
             result = evaluate(w)
             active_counts.append(np.count_nonzero(result[2]))
             return result
 
-        solves.append(svm._newton_loop(counted, gram, c_, reg_diag))
+        solves.append(svm._newton_loop(counted, hessian, params))
         return solves[-1]
 
     monkeypatch.setattr(ranksvm, "_newton_loop", recorded)

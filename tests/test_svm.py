@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
 
 from domm.core import DataError
@@ -18,7 +20,7 @@ from domm.svm import (
 )
 from domm.svm import _sigmoid
 from domm import svm
-from oracles import two_pass_newton
+from oracles import own_loop_platt, two_pass_newton
 
 
 def finite_difference_gradient(params, inputs, targets, c, fit_bias, h=1e-6):
@@ -250,3 +252,67 @@ def test_fit_platt_recovers_generating_sigmoid():
 def test_fit_platt_single_class_errors():
     with pytest.raises(DataError, match="both classes"):
         fit_platt(np.array([0.1, 0.2]), np.array([1.0, 1.0]))
+
+
+def recorded_platt(scores, labels):
+    """``fit_platt``'s calibration and the objective trace of the Newton solve it ran."""
+    newton_loop, solves = svm._newton_loop, []
+
+    def recorded(*args):
+        solves.append(newton_loop(*args))
+        return solves[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(svm, "_newton_loop", recorded)
+        cal = fit_platt(scores, labels)
+    ((_, trace),) = solves
+    return cal, trace
+
+
+def smoothed_target_mean(labels):
+    """The calibrated probability at every point when all scores are equal: the mean smoothed target."""
+    n_pos = np.count_nonzero(labels > 0)
+    return np.where(labels > 0, (n_pos + 1.0) / (n_pos + 2.0), 1.0 / (labels.size - n_pos + 2.0)).mean()
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    n=st.integers(2, 3000),
+    log_scale=st.floats(-3.0, 3.0),
+    separation=st.floats(0.0, 4.0),
+    positive_share=st.floats(0.0, 1.0),
+    shape=st.sampled_from(["overlapping", "separable", "constant"]),
+    seed=st.integers(0, 2**16),
+)
+def test_fit_platt_matches_the_own_loop_oracle(n, log_scale, separation, positive_share, shape, seed):
+    """One Newton loop calibrates as Platt's own 100-step loop did, within ``MAX_NEWTON_STEPS``.
+
+    Equal scores have a closed-form answer, and the oracle's Hessian can be
+    exactly singular on them, so they are checked against the former.
+    """
+    rng = np.random.default_rng(seed)
+    labels = np.where(rng.permutation(n) < min(max(round(positive_share * n), 1), n - 1), 1.0, -1.0)
+    if shape == "constant":
+        scores = np.full(n, separation - 2.0)
+    elif shape == "separable":
+        scores = labels * (separation + rng.random(n) + 1e-3)
+    else:
+        scores = rng.normal(size=n) + 0.5 * separation * labels
+    scores *= 10.0**log_scale
+    cal, trace = recorded_platt(scores, labels)
+    if shape == "constant":
+        want = np.full(n, smoothed_target_mean(labels))
+    else:
+        want = platt_probability(own_loop_platt(scores, labels), scores)
+
+    np.testing.assert_allclose(platt_probability(cal, scores), want, rtol=0, atol=1e-5)
+    assert len(trace) - 1 < svm.MAX_NEWTON_STEPS
+
+
+def test_fit_platt_calibrates_equal_scores_where_the_own_loop_hessian_is_singular():
+    labels = np.where(np.random.default_rng(1886).permutation(2090) < 1244, 1.0, -1.0)
+    scores = np.full(2090, -2.8)
+    with pytest.raises(np.linalg.LinAlgError):
+        own_loop_platt(scores, labels)
+    cal = fit_platt(scores, labels)
+    assert abs(platt_probability(cal, -2.8) - smoothed_target_mean(labels)) < 1e-8
