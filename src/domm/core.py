@@ -38,6 +38,7 @@ __all__ = [
     "format_float",
     "is_positive",
     "json_numbers",
+    "later_lower_counts",
     "load_manifest",
     "output_dir",
     "parse_annotations",
@@ -246,6 +247,23 @@ def average_ranks(values) -> np.ndarray:
     ranks = np.empty(x.size)
     ranks[order] = np.repeat(starts + (counts + 1) / 2.0, counts)
     return ranks
+
+
+def later_lower_counts(values) -> np.ndarray:
+    """For each item i of a 1-D array, the number of later items j > i with values[j] < values[i].
+
+    The count halves the sequence: each left-half item adds the right-half
+    items below it, ``searchsorted(sort(right), left, "left")``, to its
+    count within its own half. Up to 64 items are compared directly. Equal
+    values never count (``-0.0`` equals ``0.0``). Exact integers, O(n log^2 n)
+    time, O(n) memory.
+    """
+    x = np.asarray(values)
+    if x.size <= 64:
+        return np.count_nonzero(np.triu(x[:, None] > x, 1), axis=1)
+    left, right = x[: x.size // 2], x[x.size // 2 :]
+    ahead = later_lower_counts(left) + np.searchsorted(np.sort(right), left, "left")
+    return np.concatenate((ahead, later_lower_counts(right)))
 
 
 @dataclass(frozen=True)
@@ -503,31 +521,28 @@ def _parse_matrix(path, header: list[str], lines: list[str]) -> np.ndarray:
     """The data lines as a finite float matrix, every cell parsed by ``float`` in one bulk pass.
 
     ``float`` strips surrounding whitespace itself, so the bulk pass accepts
-    exactly the cells the per-cell loop does. If any cell fails or is not
-    finite, the per-cell loop runs instead and names the first such cell.
+    exactly the stripped cells. If any cell fails or is not finite, the
+    first such cell in the same cell list is named by its row and column.
     """
     if not lines:
         raise DataError(f"{path}: no data rows")
     width = len(header)
     _check_row_widths(path, lines, width)
+    cells = ",".join(lines).split(",")
     try:
-        out = np.fromiter(map(float, ",".join(lines).split(",")), float, len(lines) * width)
+        out = np.fromiter(map(float, cells), float, len(cells))
         if np.all(np.isfinite(out)):
             return out.reshape(len(lines), width)
     except ValueError:
         pass
-    out = np.empty((len(lines), width))
-    for r, line in enumerate(lines):
-        for c, cell in enumerate(line.split(",")):
-            cell = cell.strip()
-            try:
-                value = float(cell)
-            except ValueError:
-                value = np.nan
-            if not np.isfinite(value):
-                raise DataError(f"{path}: non-numeric value {cell!r} at row {r + 1}, column {header[c]!r}")
-            out[r, c] = value
-    return out
+    for k, cell in enumerate(cells):
+        try:
+            _finite_float(cell)
+        except ValueError as exc:
+            row, col = divmod(k, width)
+            raise DataError(
+                f"{path}: non-numeric value {cell.strip()!r} at row {row + 1}, column {header[col]!r}"
+            ) from exc
 
 
 def _meta_float(path, meta: dict[str, str], key: str) -> float:

@@ -4,14 +4,16 @@ UAR and weighted Cohen's kappa score predicted ordinal label sequences
 against ground truth; Kendall's tau and precision-at-k score predicted rank
 sequences. Kappa uses the tridiagonal partial-credit weight matrix that
 gives half credit to one-level misses. Kendall's tau counts its tied and
-discordant pairs exactly, in integers, without a pairwise matrix.
+discordant pairs exactly, in integers, without a pairwise matrix: the
+discordant ones are the later-and-lower items that ``core.later_lower_counts``
+counts, the same counter that sizes the ranker's pair blocks.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from domm.core import DataError, MissingClassError
+from domm.core import DataError, MissingClassError, later_lower_counts
 
 __all__ = [
     "DegenerateMarginalsError",
@@ -95,30 +97,13 @@ def _tied_pairs(sorted_keys: np.ndarray) -> int:
     return int(np.sum(runs * (runs - 1) // 2))
 
 
-def _inversions(x: np.ndarray) -> int:
-    """Pairs i < j with x[i] > x[j]: each half's own count plus the pairs across them.
-
-    A right-half item r is inverted against every left-half item above it,
-    ``half - searchsorted(sort(left), r, "right")`` of them. Up to 64 items
-    are counted directly on the upper triangle of the comparison matrix.
-    Equal values never count. O(n log^2 n) time, O(n) memory.
-    """
-    n = x.size
-    if n <= 64:
-        return int(np.count_nonzero(np.triu(x[:, None] > x, 1)))
-    half = n // 2
-    left, right = x[:half], x[half:]
-    across = half * right.size - int(np.searchsorted(np.sort(left), right, "right").sum())
-    return _inversions(left) + _inversions(right) + across
-
-
 def kendall_tau(ranks_a, ranks_b) -> float:
     """Kendall's tau-a, (C - D) / T with the fixed denominator T = n(n-1)/2.
 
     Pairs tied in either sequence count toward neither C nor D. Knight's
     (1966) count: sort by (a, b), so that D is the number of strict
-    inversions of b, and C - D = T - ties_a - ties_b + ties_ab - 2D. The
-    inversions are counted by halving, in exact integers.
+    inversions of b, and C - D = T - ties_a - ties_b + ties_ab - 2D. D sums
+    ``core.later_lower_counts`` of b, in exact integers.
     """
     ra, rb = _rank_arrays(ranks_a, ranks_b)
     n = ra.size
@@ -130,7 +115,7 @@ def kendall_tau(ranks_a, ranks_b) -> float:
     ties_a = _tied_pairs(a[:, None])
     ties_ab = _tied_pairs(np.column_stack((a, b)))
     ties_b = _tied_pairs(np.sort(b)[:, None])
-    c_minus_d = pairs - ties_a - ties_b + ties_ab - 2 * _inversions(b)
+    c_minus_d = pairs - ties_a - ties_b + ties_ab - 2 * int(later_lower_counts(b).sum())
     return c_minus_d / pairs
 
 

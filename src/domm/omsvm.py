@@ -104,9 +104,9 @@ def train_omsvm(
     y = np.asarray(labels, dtype=int)
     if direction not in DIRECTIONS:
         raise DataError(f"unknown direction {direction!r}")
-    present = set(np.unique(y))
-    if present != {0, 1, 2}:
-        raise MissingClassError(f"training data must contain all three states, found {sorted(present)}")
+    present = np.unique(y).tolist()
+    if present != [0, 1, 2]:
+        raise MissingClassError(f"training data must contain all three states, found {present}")
 
     first = AolState.LOW if direction == "forward" else AolState.HIGH
     stage_defs = [

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from domm.core import DataError, RolSequence, average_ranks
+from domm.core import DataError, RolSequence, average_ranks, later_lower_counts
 from domm.labels import BLOCK_ROWS
 from domm.svm import LinearModel, _newton_loop
 
@@ -40,25 +40,6 @@ __all__ = [
 
 PAIR_CAP = 200_000
 HESSIAN_BLOCK = 8192
-
-
-def _ordered_blocks(rols: list[RolSequence]):
-    """Yield (offset, swap, lo, mask) for each row block of each strict pair kind.
-
-    Per utterance the pairs with ``r_i > r_j`` come first, then those with
-    ``r_i < r_j``; within a kind, ``np.flatnonzero`` of the blocks' masks
-    walks the upper triangle row-major. ``swap`` marks the kind whose
-    preferred frame is the column.
-    """
-    offset = 0
-    for rol in rols:
-        ranks = rol.ranks
-        cols = np.arange(ranks.size)
-        for prefer, swap in ((np.greater, False), (np.less, True)):
-            for lo in range(0, ranks.size, BLOCK_ROWS):
-                rows = cols[lo : lo + BLOCK_ROWS]
-                yield offset, swap, lo, (cols > rows[:, None]) & prefer(ranks[rows, None], ranks)
-        offset += ranks.size
 
 
 def _sorted_choice(total: int, cap: int, seed: int) -> np.ndarray:
@@ -105,17 +86,32 @@ def build_pairs(rols: list[RolSequence], cap: int = PAIR_CAP, seed: int = 0) -> 
     """All strict (preferred, other) frame-index pairs, subsampled to ``cap``.
 
     Indices address the rows of the feature matrix formed by stacking the
-    utterances in the given order. When the pair count exceeds ``cap`` a
-    uniform subsample of pair indices is drawn from the count alone with the
-    seeded generator (``_sorted_choice``: the indices ``Generator.choice``
-    would keep, without its ``arange(total)``), so the result is
-    deterministic for a fixed seed. The
-    pairs are counted, then only the kept ones enumerated, ``BLOCK_ROWS``
-    rows of one utterance at a time: working memory is O(BLOCK_ROWS * T)
-    plus the kept pairs. The pipeline keeps ``PAIR_CAP``; tests pass smaller caps.
+    utterances in the given order. Per utterance the pairs with
+    ``r_i > r_j`` come first, then those with ``r_i < r_j``; within a kind,
+    the upper triangle row-major, ``BLOCK_ROWS`` rows at a time. Both kinds
+    pair each frame with the later frames whose key is lower, the keys
+    being the ranks (the first kind) or the negated ranks (the second), so
+    a block's pair count is the sum over its rows of
+    ``core.later_lower_counts`` of the keys. When the total exceeds ``cap``
+    a uniform subsample of pair indices is drawn from the counts alone with
+    the seeded generator (``_sorted_choice``: the indices
+    ``Generator.choice`` would keep, without its ``arange(total)``), so the
+    result is deterministic for a fixed seed. Only the blocks that hold
+    kept pairs build their T-wide mask: working memory is
+    O(BLOCK_ROWS * T) plus the kept pairs. The pipeline keeps ``PAIR_CAP``;
+    tests pass smaller caps.
     """
-    counts = [np.count_nonzero(mask) for *_, mask in _ordered_blocks(rols)]
-    starts = np.concatenate([[0], np.cumsum(counts, dtype=int)])
+    blocks = []  # (offset, keys, swap, lo) per row block, in pair order
+    counts = [[0]]
+    offset = 0
+    for rol in rols:
+        los = np.arange(0, rol.ranks.size, BLOCK_ROWS)
+        # a pair is a later-and-lower key; ``swap`` marks the kind whose preferred frame is the column
+        for keys, swap in ((rol.ranks, False), (-rol.ranks, True)):
+            counts.append(np.add.reduceat(later_lower_counts(keys), los))
+            blocks += [(offset, keys, swap, lo) for lo in los]
+        offset += rol.ranks.size
+    starts = np.cumsum(np.concatenate(counts))
     total = int(starts[-1])
     if total > cap:
         keep = _sorted_choice(total, cap, seed)
@@ -123,10 +119,13 @@ def build_pairs(rols: list[RolSequence], cap: int = PAIR_CAP, seed: int = 0) -> 
         keep = np.arange(total)
     bounds = np.searchsorted(keep, starts)
     pairs = np.empty((keep.size, 2), dtype=int)
-    for (offset, swap, lo, mask), start, a, b in zip(_ordered_blocks(rols), starts, bounds, bounds[1:]):
+    for (offset, keys, swap, lo), start, a, b in zip(blocks, starts, bounds, bounds[1:]):
         if a == b:
             continue
-        row, col = np.divmod(np.flatnonzero(mask)[keep[a:b] - start], mask.shape[1])
+        cols = np.arange(keys.size)
+        rows = cols[lo : lo + BLOCK_ROWS]
+        mask = (cols > rows[:, None]) & (keys[rows, None] > keys)
+        row, col = np.divmod(np.flatnonzero(mask)[keep[a:b] - start], keys.size)
         row += lo
         pairs[a:b] = np.column_stack([col, row] if swap else [row, col]) + offset
     return pairs

@@ -86,6 +86,12 @@ def tau_oracle(ra, rb):
     return (c - d) / (n * (n - 1) / 2)
 
 
+def later_lower_loop(values) -> np.ndarray:
+    """Per item i, the count of j > i with values[j] < values[i]; the oracle for ``later_lower_counts``."""
+    values = list(values)
+    return np.array([sum(later < v for later in values[i + 1 :]) for i, v in enumerate(values)], dtype=int)
+
+
 def consensus_vote_loop(stack) -> np.ndarray:
     """Per-frame majority vote over an (R, T) stack of state codes, one frame at a time.
 

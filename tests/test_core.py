@@ -14,6 +14,7 @@ from domm.core import (
     canonical_json,
     format_float,
     json_numbers,
+    later_lower_counts,
     load_manifest,
     parse_annotations,
     parse_features,
@@ -24,7 +25,7 @@ from domm.core import (
     write_csv,
     write_rol_csv,
 )
-from oracles import per_cell_csv_matrix
+from oracles import later_lower_loop, per_cell_csv_matrix
 
 
 def test_parse_features_basic(tmp_path):
@@ -117,6 +118,28 @@ def test_average_ranks_equal_scipy_rankdata_bit_for_bit(n):
         expected = rankdata(values, method="average")
         assert ours.dtype == expected.dtype
         assert ours.tobytes() == expected.tobytes()
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(
+    n=st.one_of(st.integers(0, 70), st.integers(0, 300)),
+    levels=st.sampled_from([1, 2, 3, 7, 50, 10**6]),
+    signed_zeros=st.booleans(),
+    negate=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_later_lower_counts_equal_the_pair_loop(n, levels, signed_zeros, negate, seed):
+    """Exact counts across the 64-item direct cutoff, under heavy ties, -0.0 against 0.0 and negated ranks."""
+    rng = np.random.default_rng(seed)
+    values = average_ranks(rng.integers(0, levels, n))
+    if signed_zeros:
+        zeroed = rng.random(n) < 0.5
+        values[zeroed] = np.where(rng.random(np.count_nonzero(zeroed)) < 0.5, -0.0, 0.0)
+    if negate:
+        values = -values
+    got = later_lower_counts(values)
+    assert got.dtype.kind == "i"
+    np.testing.assert_array_equal(got, later_lower_loop(values))
 
 
 def test_rol_sequence_rejects_non_ranking():

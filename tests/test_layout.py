@@ -121,3 +121,13 @@ def test_linear_solves_run_only_in_the_newton_loop():
                 name = max(enclosing, key=lambda fn: fn.lineno).name if enclosing else "<module>"
                 solvers.append(f"{path.stem}.{name}")
     assert solvers == ["svm._newton_loop"]
+
+
+def test_readme_oracle_paragraph_names_every_oracle():
+    """Every top-level function in ``tests/oracles.py`` is named in backticks in the README's oracle paragraph."""
+    text = (ROOT / "README.md").read_text()
+    paragraph = next(p for p in text.split("\n\n") if "`tests/oracles.py`" in p)
+    named = set(re.findall(r"`(\w+)`", paragraph))
+    tree = ast.parse((ROOT / "tests" / "oracles.py").read_text())
+    oracles = [node.name for node in tree.body if isinstance(node, ast.FunctionDef)]
+    assert [name for name in oracles if name not in named] == []

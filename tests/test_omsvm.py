@@ -37,6 +37,13 @@ class TestTrain:
         with pytest.raises(DataError, match="three states"):
             train_omsvm(features, labels)
 
+    def test_missing_class_message_lists_plain_integers(self):
+        features = np.random.default_rng(1).normal(size=(20, 2))
+        labels = np.array([M] * 10 + [H] * 10)
+        with pytest.raises(DataError) as info:
+            train_omsvm(features, labels)
+        assert str(info.value) == "training data must contain all three states, found [1, 2]"
+
     def test_backward_on_mirrored_data_flips_stage_weights(self):
         rng = np.random.default_rng(2)
         features, labels = three_clusters(rng, dims=3)

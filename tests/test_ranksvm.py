@@ -55,6 +55,13 @@ def tied(rng, n, levels, uid):
     return ranked(rng.integers(0, levels, n), uid)
 
 
+EDGE_ROWS = (BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1)
+
+
+def two_blocks_and_a_row_then_all_tied(g):
+    return [untied(g, 2 * BLOCK_ROWS + 1, "a"), tied(g, BLOCK_ROWS + 1, 1, "b")]
+
+
 # (name, utterances drawn from a generator, cap)
 PAIR_CASES = [
     ("cap_at_least_total", lambda g: [untied(g, 40, "a"), tied(g, 30, 3, "b")], 10**6),
@@ -62,6 +69,10 @@ PAIR_CASES = [
     ("tail_shuffle_above_10000", lambda g: [untied(g, 150, "a"), untied(g, 150, "b")], 1000),
     ("floyd_above_10000", lambda g: [untied(g, 150, "a"), untied(g, 150, "b")], 100),
     ("heavy_ties_across_blocks", lambda g: [tied(g, BLOCK_ROWS * 2 + 37, 4, "a")], 3000),
+    ("block_edges_cap_above_total", lambda g: [untied(g, n, f"e{n}") for n in EDGE_ROWS], 10**6),
+    ("block_edges_cap_below_total", lambda g: [untied(g, n, f"e{n}") for n in EDGE_ROWS], 2000),
+    ("two_blocks_and_a_row_then_all_tied_cap_above_total", two_blocks_and_a_row_then_all_tied, 10**6),
+    ("two_blocks_and_a_row_then_all_tied_cap_below_total", two_blocks_and_a_row_then_all_tied, 3000),
     (
         "all_tied_one_frame_and_offsets",
         lambda g: [tied(g, 50, 1, "a"), untied(g, 1, "b"), tied(g, 80, 5, "c"), untied(g, 90, "d")],
