@@ -1,23 +1,29 @@
 """Serialized container for every trained parameter of one experiment run.
 
+This module alone reads and writes the ``model.json`` layout: ``_encode``
+and ``_decode`` hold every key of every part, next to ``FORMAT_VERSION``,
+and the model classes they build are plain records.
+
 Bundles round-trip byte-identically: saving the same trained state twice
 produces identical files, and loading then saving reproduces the original
 bytes. The KDEs serialize as their raw samples and bandwidths, so a bundle
 is self-contained. The feature z-score that the classifier and the ranker
 both score in is stored once, and ``standardize`` applies it. A bundle with
-a missing, mistyped or inconsistent part fails to load with DataError.
+a missing, mistyped or inconsistent part, or an integer outside int64,
+fails to load with DataError naming the part.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
-from domm.core import DataError, checked_from_dict, json_numbers, read_json, write_json
+from domm.core import DataError, json_numbers, read_json, write_json
 from domm.omsvm import OmsvmModel
-from domm.svm import LinearModel, check_width
-from domm.transitions import TransitionModel
+from domm.svm import LinearModel, PlattCalibration, check_width
+from domm.transitions import KdeModel, TransitionModel
 
 __all__ = ["FORMAT_VERSION", "ModelBundle", "load_model_bundle", "save_model_bundle"]
 
@@ -51,28 +57,83 @@ class ModelBundle:
         check_width(x, self.mean.size)
         return (x - self.mean) / self.std
 
-    def to_dict(self) -> dict:
-        return {
-            "format_version": FORMAT_VERSION,
-            "omsvm": self.omsvm.to_dict(),
-            "ranksvm": self.ranker.to_dict() if self.ranker is not None else None,
-            "transitions": self.transitions.to_dict() if self.transitions is not None else None,
-            "class_counts": self.class_counts.tolist(),
-            "provenance": {"config_hash": self.config_hash},
-            "standardization": {"mean": self.mean.tolist(), "std": self.std.tolist()},
-        }
 
-    @checked_from_dict
-    def from_dict(cls, d: dict) -> "ModelBundle":
+def _encode(bundle: ModelBundle) -> dict:
+    """The ``model.json`` object of ``bundle``."""
+
+    def linear(model: LinearModel) -> dict:
+        return {"weights": model.weights.tolist(), "bias": float(model.bias)}
+
+    def kde(model: KdeModel) -> dict:
+        return {"samples": model.samples.tolist(), "bandwidth": float(model.bandwidth)}
+
+    t = bundle.transitions
+    return {
+        "format_version": FORMAT_VERSION,
+        "omsvm": {
+            "direction": bundle.omsvm.direction,
+            "stages": [
+                {"model": linear(m), "platt": {"a": float(p.a), "b": float(p.b)}}
+                for m, p in bundle.omsvm.stage_models
+            ],
+        },
+        "ranksvm": None if bundle.ranker is None else linear(bundle.ranker),
+        "transitions": None if t is None else {
+            "prior": t.prior.tolist(),
+            "conditional_kdes": [[kde(k) for k in row] for row in t.conditional_kdes],
+            "marginal_kdes": [kde(k) for k in t.marginal_kdes],
+            "use_normalized_ranks": t.use_normalized_ranks,
+        },
+        "class_counts": bundle.class_counts.tolist(),
+        "provenance": {"config_hash": bundle.config_hash},
+        "standardization": {"mean": bundle.mean.tolist(), "std": bundle.std.tolist()},
+    }
+
+
+@contextmanager
+def _part(name: str):
+    """Raise a missing or mistyped key, or an integer outside int64, in the block as DataError naming ``name``."""
+    try:
+        yield
+    except (AttributeError, IndexError, KeyError, OverflowError, TypeError, ValueError) as exc:
+        raise DataError(f"malformed {name}: {type(exc).__name__}: {exc}") from exc
+
+
+def _decode(d: dict) -> ModelBundle:
+    """The bundle of a ``model.json`` object; the innermost part that fails names the error."""
+
+    def linear(m) -> LinearModel:
+        with _part("LinearModel"):
+            return LinearModel(weights=json_numbers(m["weights"]), bias=float(json_numbers(m["bias"])))
+
+    def kde(k) -> KdeModel:
+        with _part("KdeModel"):
+            return KdeModel(samples=json_numbers(k["samples"]), bandwidth=float(json_numbers(k["bandwidth"])))
+
+    with _part("ModelBundle"):
         version = int(json_numbers(d.get("format_version", -1), integral=True))
         if version != FORMAT_VERSION:
-            raise DataError(
-                f"unsupported bundle format_version {version}, expected {FORMAT_VERSION}"
-            )
-        return cls(
-            omsvm=OmsvmModel.from_dict(d["omsvm"]),
-            ranker=LinearModel.from_dict(d["ranksvm"]) if d["ranksvm"] is not None else None,
-            transitions=TransitionModel.from_dict(d["transitions"]) if d["transitions"] is not None else None,
+            raise DataError(f"unsupported bundle format_version {version}, expected {FORMAT_VERSION}")
+        with _part("OmsvmModel"):
+            stages = []
+            for s in d["omsvm"]["stages"]:
+                with _part("PlattCalibration"):
+                    a, b = (float(json_numbers(s["platt"][key])) for key in "ab")
+                stages.append((linear(s["model"]), PlattCalibration(a, b)))
+            omsvm = OmsvmModel(stage_models=tuple(stages), direction=str(d["omsvm"]["direction"]))
+        transitions = d["transitions"]
+        if transitions is not None:
+            with _part("TransitionModel"):
+                transitions = TransitionModel(
+                    prior=json_numbers(transitions["prior"]),
+                    conditional_kdes=tuple(tuple(kde(k) for k in row) for row in transitions["conditional_kdes"]),
+                    marginal_kdes=tuple(kde(k) for k in transitions["marginal_kdes"]),
+                    use_normalized_ranks=transitions["use_normalized_ranks"],
+                )
+        return ModelBundle(
+            omsvm=omsvm,
+            ranker=None if d["ranksvm"] is None else linear(d["ranksvm"]),
+            transitions=transitions,
             class_counts=json_numbers(d["class_counts"], integral=True),
             config_hash=d["provenance"]["config_hash"],
             mean=json_numbers(d["standardization"]["mean"]),
@@ -81,11 +142,11 @@ class ModelBundle:
 
 
 def save_model_bundle(bundle: ModelBundle, path) -> None:
-    write_json(path, bundle.to_dict())
+    write_json(path, _encode(bundle))
 
 
 def load_model_bundle(path) -> ModelBundle:
     raw = read_json(path, "model bundle")
     if not isinstance(raw, dict):
         raise DataError(f"{path}: bundle must be a JSON object")
-    return ModelBundle.from_dict(raw)
+    return _decode(raw)

@@ -50,7 +50,6 @@ from domm.experiment import (
     write_report,
 )
 from domm.labels import sweep_thresholds
-from domm.metrics import DegenerateMarginalsError
 from domm.synth import SynthConfig, generate_corpus, write_corpus
 
 __all__ = ["main"]
@@ -63,7 +62,7 @@ def _fail_on_data_errors(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except (DataError, DegenerateMarginalsError) as exc:
+        except DataError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(2)
 

@@ -8,7 +8,6 @@ objects always produce identical bytes.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import math
@@ -34,7 +33,6 @@ __all__ = [
     "UtteranceFeatures",
     "average_ranks",
     "canonical_json",
-    "checked_from_dict",
     "format_float",
     "is_positive",
     "json_numbers",
@@ -61,19 +59,6 @@ class MissingClassError(DataError):
     """A fit or a metric needs all three states, and its labels lack one."""
 
 
-def checked_from_dict(from_dict):
-    """``classmethod`` for a ``from_dict`` whose missing or mistyped keys raise DataError."""
-
-    @functools.wraps(from_dict)
-    def wrapper(cls, d):
-        try:
-            return from_dict(cls, d)
-        except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"malformed {cls.__name__}: {type(exc).__name__}: {exc}") from exc
-
-    return classmethod(wrapper)
-
-
 def is_positive(x, integral: bool = False, or_zero: bool = False) -> bool:
     """A finite number (an integer if ``integral``, never a bool) above 0, or at least 0."""
     if isinstance(x, bool) or not isinstance(x, numbers.Integral if integral else numbers.Real):
@@ -84,7 +69,7 @@ def is_positive(x, integral: bool = False, or_zero: bool = False) -> bool:
 def json_numbers(value, integral: bool = False) -> np.ndarray:
     """A parsed JSON number, or nested lists of them, as a float (int if ``integral``) array.
 
-    Anything else raises TypeError, which ``checked_from_dict`` reports as DataError.
+    Anything else raises TypeError, which the bundle decoder reports as DataError.
     """
     allowed = (int,) if integral else (int, float)
     pending = [value]
@@ -428,14 +413,23 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _float_sized_int(text: str) -> int:
+    if not math.isfinite(float(text)):
+        raise ValueError(f"integer of {len(text)} digits overflows a float")
+    return int(text)
+
+
 def read_json(path, what: str):
     """Parse a JSON file; an unreadable, non-UTF-8 or malformed file raises DataError.
 
-    NaN, Infinity and numbers that overflow to infinity count as malformed.
+    NaN, Infinity and numbers that overflow to infinity count as malformed,
+    integers included.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
-        return json.loads(text, parse_float=_finite_float, parse_constant=_finite_float)
+        return json.loads(
+            text, parse_float=_finite_float, parse_int=_float_sized_int, parse_constant=_finite_float
+        )
     except (OSError, ValueError) as exc:
         raise DataError(f"cannot load {what} {path}: {exc}") from exc
 

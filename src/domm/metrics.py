@@ -28,7 +28,7 @@ __all__ = [
 KAPPA_WEIGHTS = np.array([[1.0, 0.5, 0.0], [0.5, 1.0, 0.5], [0.0, 0.5, 1.0]])
 
 
-class DegenerateMarginalsError(ValueError):
+class DegenerateMarginalsError(DataError):
     """Kappa denominator is zero: the chance-agreement term equals 1."""
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from domm.core import AolState, DataError, MissingClassError, checked_from_dict
+from domm.core import AolState, DataError, MissingClassError
 from domm.svm import (
     LinearModel,
     PlattCalibration,
@@ -49,24 +49,6 @@ class OmsvmModel:
             raise DataError("three ordinal states need exactly two stages")
         if self.direction not in DIRECTIONS:
             raise DataError(f"unknown direction {self.direction!r}")
-
-    def to_dict(self) -> dict:
-        return {
-            "direction": self.direction,
-            "stages": [
-                {"model": m.to_dict(), "platt": p.to_dict()} for m, p in self.stage_models
-            ],
-        }
-
-    @checked_from_dict
-    def from_dict(cls, d: dict) -> "OmsvmModel":
-        return cls(
-            stage_models=tuple(
-                (LinearModel.from_dict(s["model"]), PlattCalibration.from_dict(s["platt"]))
-                for s in d["stages"]
-            ),
-            direction=str(d["direction"]),
-        )
 
 
 def _cross_fit_scores(features, targets, c, final_model):

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from domm.core import DataError, checked_from_dict, json_numbers
+from domm.core import DataError
 
 __all__ = [
     "LinearModel",
@@ -62,13 +62,6 @@ class LinearModel:
         if not (np.all(np.isfinite(self.weights)) and np.isfinite(self.bias)):
             raise DataError("LinearModel parameters must be finite")
 
-    def to_dict(self) -> dict:
-        return {"weights": self.weights.tolist(), "bias": float(self.bias)}
-
-    @checked_from_dict
-    def from_dict(cls, d: dict) -> "LinearModel":
-        return cls(weights=json_numbers(d["weights"]), bias=float(json_numbers(d["bias"])))
-
 
 @dataclass(frozen=True)
 class PlattCalibration:
@@ -76,13 +69,6 @@ class PlattCalibration:
 
     a: float
     b: float
-
-    def to_dict(self) -> dict:
-        return {"a": float(self.a), "b": float(self.b)}
-
-    @checked_from_dict
-    def from_dict(cls, d: dict) -> "PlattCalibration":
-        return cls(a=float(json_numbers(d["a"])), b=float(json_numbers(d["b"])))
 
 
 def _sigmoid(x):

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from domm.core import AolSequence, DataError, RolSequence, checked_from_dict, json_numbers
+from domm.core import AolSequence, DataError, RolSequence
 
 __all__ = [
     "KdeModel",
@@ -61,13 +61,6 @@ class KdeModel:
             raise DataError("KDE samples contain non-finite values")
         if not self.bandwidth > 0:
             raise DataError("KDE bandwidth must be positive")
-
-    def to_dict(self) -> dict:
-        return {"samples": self.samples.tolist(), "bandwidth": float(self.bandwidth)}
-
-    @checked_from_dict
-    def from_dict(cls, d: dict) -> "KdeModel":
-        return cls(samples=json_numbers(d["samples"]), bandwidth=float(json_numbers(d["bandwidth"])))
 
 
 def silverman_bandwidth(samples: np.ndarray) -> float:
@@ -142,27 +135,6 @@ class TransitionModel:
             raise DataError("prior must be a strictly positive 3x3 matrix")
         if np.max(np.abs(self.prior.sum(axis=1) - 1.0)) > 1e-12:
             raise DataError("prior rows must sum to 1")
-
-    def to_dict(self) -> dict:
-        return {
-            "prior": self.prior.tolist(),
-            "conditional_kdes": [
-                [kde.to_dict() for kde in row] for row in self.conditional_kdes
-            ],
-            "marginal_kdes": [kde.to_dict() for kde in self.marginal_kdes],
-            "use_normalized_ranks": self.use_normalized_ranks,
-        }
-
-    @checked_from_dict
-    def from_dict(cls, d: dict) -> "TransitionModel":
-        return cls(
-            prior=json_numbers(d["prior"]),
-            conditional_kdes=tuple(
-                tuple(KdeModel.from_dict(k) for k in row) for row in d["conditional_kdes"]
-            ),
-            marginal_kdes=tuple(KdeModel.from_dict(k) for k in d["marginal_kdes"]),
-            use_normalized_ranks=d["use_normalized_ranks"],
-        )
 
 
 def fit_transition_model(

@@ -7,10 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from domm.bundle import FORMAT_VERSION, load_model_bundle
 from domm.cli import main
 from domm.core import ThresholdConfig, load_manifest, parse_features, read_aol_csv
+from domm.experiment import ExperimentConfig
 from domm.omsvm import state_posteriors
 from domm.synth import SynthConfig, generate_corpus, write_corpus
 
@@ -1157,3 +1160,102 @@ def test_ranker_bundle_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
         )
         bundles.append((out / "model.json").read_bytes())
     assert bundles[0] == bundles[1]
+
+
+def target_json(target, corpus_dir, domm_rs_bundle):
+    """The manifest (with absolute paths), the default experiment config or the domm-rs bundle, parsed."""
+    if target == "manifest":
+        return relocatable_manifest(corpus_dir)
+    if target == "config":
+        return ExperimentConfig().to_dict()
+    return json.loads(domm_rs_bundle.read_text())
+
+
+def run_on_edited_json(target, edit, corpus_dir, domm_rs_bundle, work: Path):
+    """Run the command that reads ``target`` on an edited copy of it, with ``--out`` at ``work / "out"``.
+
+    ``convert`` reads the manifest, ``train --config`` the config and ``decode --bundle`` the bundle.
+    """
+    raw = target_json(target, corpus_dir, domm_rs_bundle)
+    edit(raw)
+    path = work / f"{target}.json"
+    path.write_text(json.dumps(raw))
+    manifest = corpus_dir / "manifest.json"
+    args = {
+        "manifest": ("convert", "--manifest", path),
+        "config": ("train", "--manifest", manifest, "--labels", domm_rs_bundle.parent / "labels", "--config", path),
+        "bundle": ("decode", "--bundle", path, "--manifest", manifest),
+    }[target]
+    return run_cli(*args, "--out", work / "out")
+
+
+# 401 digits: float() of it overflows
+HUGE_INT = 10**400
+
+
+@pytest.mark.parametrize(
+    "target,edit",
+    [
+        ("manifest", lambda raw: raw["thresholds"].update(theta2=HUGE_INT)),
+        ("manifest", lambda raw: raw["preprocessing"].update(window_s=HUGE_INT)),
+        ("manifest", lambda raw: raw["value_range"].__setitem__(1, HUGE_INT)),
+        ("config", lambda raw: raw.update(svm_c=HUGE_INT)),
+        ("config", lambda raw: raw.update(rank_c=HUGE_INT)),
+        ("config", lambda raw: raw.update(bandwidth=HUGE_INT)),
+        ("bundle", lambda raw: raw.update(class_counts=10**30)),
+        ("bundle", lambda raw: raw.update(format_version=10**30)),
+        ("bundle", lambda raw: raw["ranksvm"]["weights"].__setitem__(0, HUGE_INT)),
+    ],
+    ids=[
+        "theta2", "window_s", "value_range", "svm_c", "rank_c", "bandwidth",
+        "class_counts-1e30", "format_version-1e30", "ranker-weight",
+    ],
+)
+def test_integers_too_large_for_a_float_exit_2(corpus_dir, domm_rs_bundle, tmp_path, target, edit):
+    result = run_on_edited_json(target, edit, corpus_dir, domm_rs_bundle, tmp_path)
+    assert_exit_2(result)
+    assert not (tmp_path / "out").exists()
+
+
+def json_paths(value, path=()):
+    """The key path of every value under ``value``, entering only the first item of a list."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield path + (key,)
+            yield from json_paths(item, path + (key,))
+    elif isinstance(value, list) and value:
+        yield path + (0,)
+        yield from json_paths(value[0], path + (0,))
+
+
+MUTATIONS = {"string": "x", "bool": True, "list": [], "null": None, "negative": -1, "1e30": 10**30, "401-digit": HUGE_INT}
+
+
+def mutated(path, mutation):
+    """An edit that drops the value at ``path`` (``mutation == "drop"``) or replaces it with ``MUTATIONS[mutation]``."""
+
+    def edit(raw):
+        for key in path[:-1]:
+            raw = raw[key]
+        if mutation == "drop":
+            del raw[path[-1]]
+        else:
+            raw[path[-1]] = MUTATIONS[mutation]
+
+    return edit
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(data=st.data())
+def test_one_mutated_json_value_exits_0_or_2(corpus_dir, domm_rs_bundle, tmp_path_factory, data):
+    """The README's contract on JSON inputs: exit 0, or exit 2 with an ``error:`` line; never a traceback."""
+    target = data.draw(st.sampled_from(["manifest", "config", "bundle"]), label="target")
+    paths = list(json_paths(target_json(target, corpus_dir, domm_rs_bundle)))
+    path = data.draw(st.sampled_from(paths), label="path")
+    mutation = data.draw(st.sampled_from(["drop", *MUTATIONS]), label="mutation")
+    work = tmp_path_factory.mktemp("mutation")
+    result = run_on_edited_json(target, mutated(path, mutation), corpus_dir, domm_rs_bundle, work)
+    assert result.exit_code in (0, 2), result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.output
+    if result.exit_code == 2:
+        assert result.output.startswith("error:"), result.output

@@ -109,6 +109,29 @@ def test_eps_tie_is_bound_only_in_core_and_labels():
     assert binders == ["core", "labels"]
 
 
+def test_bundle_alone_reads_and_writes_the_model_json_layout():
+    """``bundle`` holds the layout's version and its one encoder and decoder; the model classes are plain records."""
+    import inspect
+    from importlib import import_module
+
+    from domm.core import Config
+
+    layout_names = {"FORMAT_VERSION", "format_version", "checked_from_dict"}
+    binders = []
+    serializers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        strings = {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)}
+        if layout_names & (bound_names(tree) | strings):
+            binders.append(path.stem)
+        module = import_module("domm" if path.stem == "__init__" else f"domm.{path.stem}")
+        for name, cls in inspect.getmembers(module, inspect.isclass):
+            if cls.__module__ == module.__name__ and not issubclass(cls, Config):
+                serializers += [f"{name}.{m}" for m in ("to_dict", "from_dict") if hasattr(cls, m)]
+    assert binders == ["bundle"]
+    assert serializers == []
+
+
 def test_linear_solves_run_only_in_the_newton_loop():
     """Every fit is a Newton solve, and ``svm._newton_loop`` is the one place that takes a Newton step."""
     solvers = []

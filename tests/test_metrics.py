@@ -68,6 +68,12 @@ class TestWeightedKappa:
         with pytest.raises(DegenerateMarginalsError):
             weighted_kappa([L, L, L], [L, L, L])
 
+    def test_degenerate_marginals_is_a_data_error(self):
+        # the CLI turns every DataError into exit 2, and xval skips the fold
+        assert issubclass(DegenerateMarginalsError, DataError)
+        with pytest.raises(DataError, match="degenerate marginals"):
+            weighted_kappa([H, H], [H, H])
+
     def test_matches_oracle_on_random_instances(self):
         rng = np.random.default_rng(17)
         checked = 0

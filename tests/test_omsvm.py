@@ -139,11 +139,11 @@ class TestPosteriors:
         post = state_posteriors(model, np.array([[-1.0], [0.0], [1.0]]))
         np.testing.assert_array_equal(np.argmax(post, axis=1), [L, M, H])
 
-    def test_round_trip_serialization(self):
+    def test_round_trip_serialization(self, through_bundle):
         rng = np.random.default_rng(10)
         features, labels = three_clusters(rng)
         model = train_omsvm(features, labels)
-        back = OmsvmModel.from_dict(model.to_dict())
+        back = through_bundle(omsvm=model).omsvm
         probe = rng.normal(size=(10, 1))
         np.testing.assert_array_equal(
             state_posteriors(back, probe), state_posteriors(model, probe)
