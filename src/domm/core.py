@@ -59,6 +59,11 @@ class MissingClassError(DataError):
     """A fit or a metric needs all three states, and its labels lack one."""
 
 
+def is_finite_number(x) -> bool:
+    """A finite real number, never a bool."""
+    return not isinstance(x, bool) and isinstance(x, numbers.Real) and math.isfinite(x)
+
+
 def is_positive(x, integral: bool = False, or_zero: bool = False) -> bool:
     """A finite number (an integer if ``integral``, never a bool) above 0, or at least 0."""
     if isinstance(x, bool) or not isinstance(x, numbers.Integral if integral else numbers.Real):
@@ -294,8 +299,7 @@ class ThresholdConfig(Config):
     boundary_mode: str = "text-rule"
 
     def __post_init__(self):
-        finite = [not isinstance(t, bool) and isinstance(t, numbers.Real) and math.isfinite(t)
-                  for t in (self.theta1, self.theta2)]
+        finite = [is_finite_number(t) for t in (self.theta1, self.theta2)]
         self._check(
             ("theta1", finite[0], "a finite number"),
             ("theta2", all(finite) and self.theta1 < self.theta2, "a finite number above theta1"),
@@ -612,6 +616,14 @@ def read_rol_csv(path) -> RolSequence:
 # ---------------------------------------------------------------------------
 
 
+def _json_string(obj: dict, key: str) -> str:
+    """``obj[key]``, which must be a JSON string."""
+    value = obj[key]
+    if type(value) is not str:
+        raise DataError(f"{key} must be a JSON string, got {value!r}")
+    return value
+
+
 def load_manifest(path) -> DatasetManifest:
     """Load and validate a dataset manifest, its preprocessing and thresholds included.
 
@@ -629,8 +641,7 @@ def load_manifest(path) -> DatasetManifest:
         entries = []
         seen_ids: set[str] = set()
         for item in raw["utterances"]:
-            uid = str(item["utterance_id"])
-            split = str(item["split"])
+            uid, split = _json_string(item, "utterance_id"), _json_string(item, "split")
             for what, name in (("utterance id", uid), ("split tag", split)):
                 if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
                     raise DataError(f"{what} {name!r} is not a plain file name")
@@ -642,19 +653,22 @@ def load_manifest(path) -> DatasetManifest:
             entries.append(
                 ManifestEntry(
                     utterance_id=uid,
-                    features_path=base / item["features"],
-                    annotations_path=base / item["annotations"],
+                    features_path=base / _json_string(item, "features"),
+                    annotations_path=base / _json_string(item, "annotations"),
                     split=split,
                 )
             )
         if not entries:
             raise DataError("manifest declares no utterances")
-        lo, hi = float(raw["value_range"][0]), float(raw["value_range"][1])
+        bounds = raw["value_range"]
+        if not (type(bounds) is list and len(bounds) == 2 and all(map(is_finite_number, bounds))):
+            raise DataError(f"value_range must be two finite numbers, got {bounds!r}")
+        lo, hi = map(float, bounds)
         if not lo < hi:
             raise DataError(f"value_range [{lo}, {hi}] must have low < high")
         manifest = DatasetManifest(
-            dataset_name=str(raw["dataset_name"]),
-            dimension_name=str(raw["dimension_name"]),
+            dataset_name=_json_string(raw, "dataset_name"),
+            dimension_name=_json_string(raw, "dimension_name"),
             value_range=(lo, hi),
             preprocessing=Preprocessing.from_dict(raw["preprocessing"]),
             thresholds=ThresholdConfig.from_dict(raw["thresholds"]),

@@ -42,44 +42,25 @@ PAIR_CAP = 200_000
 HESSIAN_BLOCK = 8192
 
 
-def _sorted_choice(total: int, cap: int, seed: int) -> np.ndarray:
-    """``np.sort(default_rng(seed).choice(total, cap, replace=False))`` in O(cap) memory.
+def _sorted_subset(total: int, cap: int, seed: int) -> np.ndarray:
+    """A uniform random ``cap``-subset of ``range(total)``, sorted, in O(cap) memory.
 
-    Where ``choice`` would tail-shuffle (``total > 10000`` and
-    ``cap > total // 50``) it fills an ``arange(total)`` (21.5 MB at the
-    xval-wide shape) and swaps each position ``i`` from ``total - 1`` down to
-    ``total - cap`` with a drawn ``j <= i``, keeping the last ``cap``
-    positions. The same draws are taken here with ``integers`` and the swaps
-    resolved without the array: step ``k`` keeps what the latest earlier
-    step with the same ``j`` wrote there, or ``j`` itself, and writes what
-    its own position held, which chains back through earlier steps that
-    targeted that position. Below that regime ``choice`` itself (Floyd's
-    algorithm) is already O(cap).
+    Below ``2 * cap`` items ``Generator.choice`` draws it directly, its
+    ``arange(total)`` being under ``2 * cap`` long. Above, it draws enough
+    integers with replacement to expect ``cap`` distinct ones plus six
+    standard deviations, keeps the distinct ones (a uniform subset, given
+    their count) and a uniform ``cap`` of those; with too few distinct ones
+    it draws again.
     """
     rng = np.random.default_rng(seed)
-    if total <= 10000 or cap <= total // 50:
+    if total < 2 * cap:
         return np.sort(rng.choice(total, size=cap, replace=False))
-    k = np.arange(cap)  # step k swaps position total - 1 - k
-    targets = rng.integers(0, total - 1 - k, endpoint=True)
-    order = np.argsort(targets * cap + k)
-    sorted_targets = targets[order]
-    same = sorted_targets[1:] == sorted_targets[:-1]
-    prev = np.full(cap, -1)  # the latest earlier step with the same target
-    prev[order[1:][same]] = order[:-1][same]
-    ends = np.flatnonzero(np.append(~same, True))
-    ends = ends[sorted_targets[ends] >= total - cap]
-    # the latest step before k that wrote k's own position, or k if none did
-    root = k.copy()
-    root[total - 1 - sorted_targets[ends]] = order[ends]
-    del order, sorted_targets
-    self_swap = (targets == total - 1 - k) & (prev >= 0)
-    root[self_swap] = prev[self_swap]
-    while not np.array_equal(hop := root[root], root):
-        root = hop
-    kept = prev >= 0
-    targets[kept] = total - 1 - root[prev[kept]]
-    targets.sort()
-    return targets
+    draws = int(-total * np.log1p(-cap / total) + 6 * np.sqrt(cap))
+    while True:
+        distinct = np.sort(rng.integers(0, total, size=draws))
+        distinct = distinct[np.append(True, distinct[1:] != distinct[:-1])]
+        if distinct.size >= cap:
+            return distinct[np.sort(rng.choice(distinct.size, size=cap, replace=False))]
 
 
 def build_pairs(rols: list[RolSequence], cap: int = PAIR_CAP, seed: int = 0) -> np.ndarray:
@@ -94,9 +75,8 @@ def build_pairs(rols: list[RolSequence], cap: int = PAIR_CAP, seed: int = 0) -> 
     a block's pair count is the sum over its rows of
     ``core.later_lower_counts`` of the keys. When the total exceeds ``cap``
     a uniform subsample of pair indices is drawn from the counts alone with
-    the seeded generator (``_sorted_choice``: the indices
-    ``Generator.choice`` would keep, without its ``arange(total)``), so the
-    result is deterministic for a fixed seed. Only the blocks that hold
+    the seeded generator (``_sorted_subset``, without an ``arange(total)``),
+    so the result is deterministic for a fixed seed. Only the blocks that hold
     kept pairs build their T-wide mask: working memory is
     O(BLOCK_ROWS * T) plus the kept pairs. The pipeline keeps ``PAIR_CAP``;
     tests pass smaller caps.
@@ -114,7 +94,7 @@ def build_pairs(rols: list[RolSequence], cap: int = PAIR_CAP, seed: int = 0) -> 
     starts = np.cumsum(np.concatenate(counts))
     total = int(starts[-1])
     if total > cap:
-        keep = _sorted_choice(total, cap, seed)
+        keep = _sorted_subset(total, cap, seed)
     else:
         keep = np.arange(total)
     bounds = np.searchsorted(keep, starts)
@@ -134,9 +114,9 @@ def build_pairs(rols: list[RolSequence], cap: int = PAIR_CAP, seed: int = 0) -> 
 def _pair_objective(w, x, p0, p1, c):
     """Squared-hinge pair objective, gradient and the boolean active-pair mask at ``w``, from frame scores.
 
-    Every pair-length reduction runs in numpy's own loops (``einsum``,
-    ``bincount``), never in BLAS, so the result does not depend on the BLAS
-    thread count.
+    Every reduction over pairs or frames runs in numpy's own loops
+    (``einsum``, ``bincount``), never in BLAS, so the result does not depend
+    on the BLAS thread count.
     """
     scores = x @ w
     margins = 1.0 - (scores[p0] - scores[p1])
@@ -145,7 +125,7 @@ def _pair_objective(w, x, p0, p1, c):
     obj = 0.5 * (w @ w) + c * np.einsum("i,i->", viol, viol)
     coef = -2.0 * c * viol
     frame_coef = np.bincount(p0[active], coef, x.shape[0]) - np.bincount(p1[active], coef, x.shape[0])
-    return obj, w + x.T @ frame_coef, active
+    return obj, w + np.einsum("ij,i->j", x, frame_coef), active
 
 
 def _pair_gram(x, a0, a1):

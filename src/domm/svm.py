@@ -86,19 +86,16 @@ def fit_standardization(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, std
 
 
-def objective_and_gradient(params, inputs, targets, c, fit_bias=True):
+def objective_and_gradient(params, inputs, targets, c):
     """Squared-hinge objective, its gradient and the violator rows at ``params``.
 
-    ``params`` is the weight vector with the (unregularized) bias appended
-    when ``fit_bias``. Inputs are taken as-is. The third value is
-    ``inputs[active]``, the rows with a positive margin violation, which the
-    gradient already copies and the Newton step reuses for its Hessian.
+    ``params`` is the weight vector with the (unregularized) bias appended.
+    Inputs are taken as-is. The third value is ``inputs[active]``, the rows
+    with a positive margin violation, which the gradient already copies and
+    the Newton step reuses for its Hessian.
     """
     params = np.asarray(params, dtype=float)
-    if fit_bias:
-        w, b = params[:-1], params[-1]
-    else:
-        w, b = params, 0.0
+    w, b = params[:-1], params[-1]
     scores = inputs @ w + b
     margins = 1.0 - targets * scores
     active = margins > 0.0
@@ -106,13 +103,10 @@ def objective_and_gradient(params, inputs, targets, c, fit_bias=True):
     obj = 0.5 * (w @ w) + c * (viol @ viol)
     coef = -2.0 * c * targets[active] * viol
     rows = inputs[active]
-    grad_w = w + rows.T @ coef
-    if fit_bias:
-        return obj, np.concatenate([grad_w, [coef.sum()]]), rows
-    return obj, grad_w, rows
+    return obj, np.concatenate([w + rows.T @ coef, [coef.sum()]]), rows
 
 
-def newton_squared_hinge(inputs, targets, c, fit_bias=True):
+def newton_squared_hinge(inputs, targets, c):
     """Minimize the squared-hinge objective; returns (params, objective trace).
 
     The trace records the objective after each accepted step (first entry is
@@ -123,17 +117,14 @@ def newton_squared_hinge(inputs, targets, c, fit_bias=True):
     """
     inputs = np.asarray(inputs, dtype=float)
     targets = np.asarray(targets, dtype=float)
-    reg_diag = np.ones(inputs.shape[1] + (1 if fit_bias else 0))
-    if fit_bias:
-        reg_diag[-1] = 0.0
+    reg_diag = np.append(np.ones(inputs.shape[1]), 0.0)
 
     def hessian(rows):
-        if fit_bias:
-            rows = np.hstack([rows, np.ones((rows.shape[0], 1))])
+        rows = np.hstack([rows, np.ones((rows.shape[0], 1))])
         return np.diag(reg_diag) + 2.0 * c * (rows.T @ rows)
 
     return _newton_loop(
-        lambda params: objective_and_gradient(params, inputs, targets, c, fit_bias), hessian, np.zeros(reg_diag.size)
+        lambda params: objective_and_gradient(params, inputs, targets, c), hessian, np.zeros(reg_diag.size)
     )
 
 
@@ -191,7 +182,7 @@ def train_binary(features, labels, c=1e-4) -> LinearModel:
         raise DataError("training data contains a single class")
     if not c > 0:
         raise DataError("regularization weight c must be positive")
-    params, _ = newton_squared_hinge(x, y, c, fit_bias=True)
+    params, _ = newton_squared_hinge(x, y, c)
     return LinearModel(weights=params[:-1], bias=float(params[-1]))
 
 

@@ -16,7 +16,7 @@ from domm import ranksvm
 from domm.core import AolSequence, DataError, average_ranks
 from domm.decoder import PROB_FLOOR, StateLattice
 from domm.labels import DECREASE, INCREASE, TIE, UNDECIDED
-from domm.svm import MAX_BACKTRACKS, PlattCalibration, _newton_loop, _sigmoid, newton_squared_hinge
+from domm.svm import MAX_BACKTRACKS, PlattCalibration, _newton_loop, _sigmoid
 from domm.transitions import DENSITY_FLOOR, SQRT_2PI, KdeModel, TransitionModel, transition_matrices
 
 BRUTE_FORCE_LIMIT = 12
@@ -118,7 +118,8 @@ def enumerated_pairs(rols, cap, seed):
 
     The oracle for ``build_pairs``: per utterance the ``r_i > r_j`` pairs as
     (i, j), then the ``r_i < r_j`` pairs as (j, i), all offset into the
-    stacked frames; above ``cap`` a sorted seeded choice of them is kept.
+    stacked frames; above ``cap`` the pairs at ``ranksvm._sorted_subset``'s
+    seeded sorted indices are kept.
     """
     chunks = []
     offset = 0
@@ -133,9 +134,7 @@ def enumerated_pairs(rols, cap, seed):
         offset += ranks.size
     pairs = np.vstack(chunks) if chunks else np.empty((0, 2), dtype=int)
     if pairs.shape[0] > cap:
-        rng = np.random.default_rng(seed)
-        keep = np.sort(rng.choice(pairs.shape[0], size=cap, replace=False))
-        pairs = pairs[keep]
+        pairs = pairs[ranksvm._sorted_subset(pairs.shape[0], cap, seed)]
     return pairs
 
 
@@ -148,7 +147,7 @@ def dense_kde_density(model: KdeModel, delta):
     return float(out) if out.ndim == 0 else out
 
 
-def two_pass_newton(inputs, targets, c, fit_bias=True):
+def two_pass_newton(inputs, targets, c):
     """The squared-hinge Newton solve that scores each accepted iterate twice; the oracle for ``newton_squared_hinge``.
 
     The line search evaluates the objective and gradient at each candidate.
@@ -160,28 +159,19 @@ def two_pass_newton(inputs, targets, c, fit_bias=True):
     from domm.svm import GRAD_TOL, MAX_BACKTRACKS, MAX_NEWTON_STEPS
 
     def objective_and_gradient(params):
-        if fit_bias:
-            w, b = params[:-1], params[-1]
-        else:
-            w, b = params, 0.0
+        w, b = params[:-1], params[-1]
         scores = inputs @ w + b
         margins = 1.0 - targets * scores
         active = margins > 0.0
         viol = margins[active]
         obj = 0.5 * (w @ w) + c * (viol @ viol)
         coef = -2.0 * c * targets[active] * viol
-        grad_w = w + inputs[active].T @ coef
-        if fit_bias:
-            return obj, np.concatenate([grad_w, [coef.sum()]])
-        return obj, grad_w
+        return obj, np.concatenate([w + inputs[active].T @ coef, [coef.sum()]])
 
     inputs = np.asarray(inputs, dtype=float)
     targets = np.asarray(targets, dtype=float)
-    n_params = inputs.shape[1] + (1 if fit_bias else 0)
-    params = np.zeros(n_params)
-    reg_diag = np.ones(n_params)
-    if fit_bias:
-        reg_diag[-1] = 0.0
+    params = np.zeros(inputs.shape[1] + 1)
+    reg_diag = np.append(np.ones(inputs.shape[1]), 0.0)
 
     obj, grad = objective_and_gradient(params)
     evaluations = 1
@@ -189,11 +179,9 @@ def two_pass_newton(inputs, targets, c, fit_bias=True):
     for _ in range(MAX_NEWTON_STEPS):
         if np.linalg.norm(grad) <= GRAD_TOL:
             break
-        scores = inputs @ (params[:-1] if fit_bias else params) + (params[-1] if fit_bias else 0.0)
+        scores = inputs @ params[:-1] + params[-1]
         active = (1.0 - targets * scores) > 0.0
-        x_active = inputs[active]
-        if fit_bias:
-            x_active = np.hstack([x_active, np.ones((x_active.shape[0], 1))])
+        x_active = np.hstack([inputs[active], np.ones((np.count_nonzero(active), 1))])
         hess = np.diag(reg_diag) + 2.0 * c * (x_active.T @ x_active)
         hess[np.diag_indices_from(hess)] += 1e-10
         direction = np.linalg.solve(hess, -grad)
@@ -219,12 +207,22 @@ def explicit_difference_ranksvm(features, pairs, c):
     """The ranker solved on the gathered P x D pair differences; the oracle for ``train_ranksvm``.
 
     Returns (weights, objective trace) of the dense squared-hinge solve on
-    ``x[preferred] - x[other]`` with unit targets and no bias.
+    the rows ``d = x[preferred] - x[other]`` with unit targets and no bias.
     """
     x = np.asarray(features, dtype=float)
     pairs = np.asarray(pairs, dtype=int)
     diffs = x[pairs[:, 0]] - x[pairs[:, 1]]
-    return newton_squared_hinge(diffs, np.ones(diffs.shape[0]), c, fit_bias=False)
+
+    def objective_and_gradient(w):
+        margins = 1.0 - diffs @ w
+        active = margins > 0.0
+        viol = margins[active]
+        rows = diffs[active]
+        return 0.5 * (w @ w) + c * (viol @ viol), w + rows.T @ (-2.0 * c * viol), rows
+
+    return _newton_loop(
+        objective_and_gradient, lambda rows: np.eye(x.shape[1]) + 2.0 * c * (rows.T @ rows), np.zeros(x.shape[1])
+    )
 
 
 def rebuilt_hessian_ranksvm(features, pairs, c):

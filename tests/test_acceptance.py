@@ -207,32 +207,30 @@ def test_criterion_5_solver_correctness():
     rng = np.random.default_rng(505)
     ok = True
 
-    def finite_difference(params, inputs, targets, c, fit_bias, h=1e-6):
+    def finite_difference(params, inputs, targets, c, h=1e-6):
         grad = np.zeros_like(params)
         for k in range(params.size):
             up, down = params.copy(), params.copy()
             up[k] += h
             down[k] -= h
             grad[k] = (
-                objective_and_gradient(up, inputs, targets, c, fit_bias)[0]
-                - objective_and_gradient(down, inputs, targets, c, fit_bias)[0]
+                objective_and_gradient(up, inputs, targets, c)[0]
+                - objective_and_gradient(down, inputs, targets, c)[0]
             ) / (2 * h)
         return grad
 
-    for fit_bias in (True, False):
-        inputs = rng.normal(size=(60, 6))
-        targets = np.where(rng.random(60) > 0.5, 1.0, -1.0)
-        for _ in range(10):
-            params = rng.normal(size=6 + fit_bias)
-            _, grad, _ = objective_and_gradient(params, inputs, targets, 0.41, fit_bias)
-            fd = finite_difference(params, inputs, targets, 0.41, fit_bias)
-            ok &= np.linalg.norm(grad - fd) / max(np.linalg.norm(fd), 1.0) < 1e-5
+    inputs = rng.normal(size=(60, 6))
+    targets = np.where(rng.random(60) > 0.5, 1.0, -1.0)
+    for _ in range(10):
+        params = rng.normal(size=7)
+        _, grad, _ = objective_and_gradient(params, inputs, targets, 0.41)
+        fd = finite_difference(params, inputs, targets, 0.41)
+        ok &= np.linalg.norm(grad - fd) / max(np.linalg.norm(fd), 1.0) < 1e-5
 
-    for fit_bias in (True, False):
-        inputs = rng.normal(size=(200, 5))
-        targets = np.where(inputs @ rng.normal(size=5) > 0, 1.0, -1.0)
-        _, trace = newton_squared_hinge(inputs, targets, c=0.7, fit_bias=fit_bias)
-        ok &= all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
+    inputs = rng.normal(size=(200, 5))
+    targets = np.where(inputs @ rng.normal(size=5) > 0, 1.0, -1.0)
+    _, trace = newton_squared_hinge(inputs, targets, c=0.7)
+    ok &= all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
 
     separable = np.vstack([rng.normal(size=(40, 2)) - 3.0, rng.normal(size=(40, 2)) + 3.0])
     labels = np.concatenate([-np.ones(40), np.ones(40)])

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -237,6 +238,34 @@ class TestConvert:
         result = run_cli(command, "--manifest", path, *extra, "--out", tmp_path / "o")
         assert result.exit_code == 2, result.output
         assert result.output.startswith("error:") and "theta1" in result.output
+
+    @pytest.mark.parametrize(
+        "edit,fragment",
+        [
+            (lambda m: m.update(value_range=["-1", "1"]), "value_range must be two finite numbers, got ['-1', '1']"),
+            (lambda m: m.update(value_range=[-1.0, 0.0, 1.0]), "value_range must be two finite numbers"),
+            (lambda m: m.update(value_range=[False, 1.0]), "value_range must be two finite numbers"),
+            (lambda m: m.update(value_range={"lo": -1.0}), "value_range must be two finite numbers"),
+            (lambda m: m.update(dataset_name=5), "dataset_name must be a JSON string, got 5"),
+            (lambda m: m.update(dimension_name=None), "dimension_name must be a JSON string, got None"),
+            (lambda m: m["utterances"][0].update(utterance_id=7), "utterance_id must be a JSON string, got 7"),
+            (lambda m: m["utterances"][0].update(split=True), "split must be a JSON string, got True"),
+            (lambda m: m["utterances"][0].update(features=["f.csv"]), "features must be a JSON string"),
+            (lambda m: m["utterances"][0].update(annotations=3), "annotations must be a JSON string, got 3"),
+        ],
+        ids=[
+            "value_range-strings", "value_range-three", "value_range-bool", "value_range-object", "dataset_name",
+            "dimension_name", "utterance_id", "split", "features", "annotations",
+        ],
+    )
+    def test_mistyped_manifest_field_exits_2_naming_the_manifest(self, corpus_dir, tmp_path, edit, fragment):
+        raw = relocatable_manifest(corpus_dir)
+        edit(raw)
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(raw))
+        result = run_cli("convert", "--manifest", manifest, "--out", tmp_path / "labels")
+        assert_exit_2(result, f"{manifest}: {fragment}")
+        assert not (tmp_path / "labels").exists()
 
     def test_bad_period_metadata_exits_2(self, corpus_dir, tmp_path):
         manifest = with_edited_file(
@@ -1259,3 +1288,97 @@ def test_one_mutated_json_value_exits_0_or_2(corpus_dir, domm_rs_bundle, tmp_pat
     assert result.exception is None or isinstance(result.exception, SystemExit), result.output
     if result.exit_code == 2:
         assert result.output.startswith("error:"), result.output
+
+
+@pytest.fixture(scope="module")
+def tiny_corpus(tmp_path_factory):
+    """Four 30-frame utterances with three features and three annotators, two in each split."""
+    root = tmp_path_factory.mktemp("tiny")
+    cfg = SynthConfig(n_utterances=4, frames_per_utterance=30, feature_dim=3, n_annotators=3, seed=2)
+    write_corpus(generate_corpus(cfg), root, thresholds=ThresholdConfig(-0.215, 0.215))
+    return root
+
+
+def run_round_trip(corpus: Path) -> list:
+    """``convert``, ``train``, ``decode`` and ``eval`` on ``corpus``, up to the first that does not exit 0."""
+    manifest, labels, model, pred = (corpus / name for name in ("manifest.json", "labels", "model", "pred"))
+    results = []
+    for args in (
+        ("convert", "--manifest", manifest, "--split", "all", "--out", labels),
+        ("train", "--manifest", manifest, "--labels", labels, "--out", model),
+        ("decode", "--bundle", model / "model.json", "--manifest", manifest, "--out", pred),
+        ("eval", "--manifest", manifest, "--pred", pred, "--labels", labels, "--out", corpus / "report"),
+    ):
+        results.append(run_cli(*args))
+        if results[-1].exit_code != 0:
+            break
+    return results
+
+
+def test_tiny_corpus_round_trips(tiny_corpus, tmp_path):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(tiny_corpus, corpus)
+    assert [result.exit_code for result in run_round_trip(corpus)] == [0, 0, 0, 0]
+
+
+FILE_MUTATIONS = [
+    "truncate", "non-utf8", "non-finite-cell", "extra-cell", "missing-cell", "period",
+    "drop-column", "one-frame", "empty-split",
+]
+PERIODS = ["abc", "", "0", "-0.04", "nan", "inf", "1e308", "1e-308", "0.08"]
+
+
+def draw_file_mutation(corpus: Path, data) -> None:
+    """Apply one drawn mutation to one file of ``corpus`` (both of one utterance's files for ``one-frame``)."""
+    mutation = data.draw(st.sampled_from(FILE_MUTATIONS), label="mutation")
+    manifest = json.loads((corpus / "manifest.json").read_text())
+    entry = data.draw(st.sampled_from(manifest["utterances"]), label="utterance")
+    if mutation == "empty-split":
+        other = {"train": "test", "test": "train"}[entry["split"]]
+        for item in manifest["utterances"]:
+            item["split"] = other
+        (corpus / "manifest.json").write_text(json.dumps(manifest))
+        return
+    if mutation == "one-frame":
+        for key in ("features", "annotations"):
+            (corpus / entry[key]).write_text(first_row_only((corpus / entry[key]).read_text()))
+        return
+    path = corpus / entry[data.draw(st.sampled_from(["features", "annotations"]), label="file")]
+    raw = path.read_bytes()
+    if mutation in ("truncate", "non-utf8"):
+        at = data.draw(st.integers(0, len(raw) - 1), label="byte")
+        path.write_bytes(raw[:at] if mutation == "truncate" else raw[:at] + b"\xff" + raw[at:])
+        return
+    lines = raw.decode().splitlines()
+    rows = [k for k, line in enumerate(lines) if not line.startswith("#")][1:]
+    row = data.draw(st.sampled_from(rows), label="row")
+    if mutation == "non-finite-cell":
+        cells = lines[row].split(",")
+        cells[data.draw(st.integers(0, len(cells) - 1), label="cell")] = data.draw(
+            st.sampled_from(["nan", "inf", "-inf", "NaN"]), label="value"
+        )
+        lines[row] = ",".join(cells)
+    elif mutation == "extra-cell":
+        lines[row] += ",0.5"
+    elif mutation == "missing-cell":
+        lines[row] = lines[row].rsplit(",", 1)[0]
+    elif mutation == "period":
+        meta = next(k for k, line in enumerate(lines) if "period_s=" in line)
+        lines[meta] = lines[meta].split("=")[0] + "=" + data.draw(st.sampled_from(PERIODS), label="period")
+    else:  # drop-column: one file narrower than the others
+        lines = [line if line.startswith("#") else line.rsplit(",", 1)[0] for line in lines]
+    path.write_text("\n".join(lines) + "\n")
+
+
+@settings(derandomize=True, max_examples=120, deadline=None, database=None)
+@given(data=st.data())
+def test_one_mutated_file_exits_0_or_2(tiny_corpus, tmp_path_factory, data):
+    """The README's contract on CSV inputs and splits: each command exits 0, or 2 with an ``error:`` line."""
+    corpus = tmp_path_factory.mktemp("file_mutation") / "corpus"
+    shutil.copytree(tiny_corpus, corpus)
+    draw_file_mutation(corpus, data)
+    for result in run_round_trip(corpus):
+        assert result.exit_code in (0, 2), result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit), result.output
+        if result.exit_code == 2:
+            assert result.output.startswith("error:"), result.output

@@ -1,4 +1,9 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +13,7 @@ from domm.labels import BLOCK_ROWS
 from domm.metrics import kendall_tau
 from domm import ranksvm, svm
 from domm.ranksvm import build_pairs, ranks_from_scores, train_ranksvm
-from domm.svm import LinearModel, decision_values, newton_squared_hinge
+from domm.svm import LinearModel, decision_values
 from oracles import enumerated_pairs, explicit_difference_ranksvm, rebuilt_hessian_ranksvm
 
 
@@ -66,8 +71,9 @@ def two_blocks_and_a_row_then_all_tied(g):
 PAIR_CASES = [
     ("cap_at_least_total", lambda g: [untied(g, 40, "a"), tied(g, 30, 3, "b")], 10**6),
     ("total_at_most_10000", lambda g: [untied(g, 100, "a"), untied(g, 60, "b")], 500),
-    ("tail_shuffle_above_10000", lambda g: [untied(g, 150, "a"), untied(g, 150, "b")], 1000),
-    ("floyd_above_10000", lambda g: [untied(g, 150, "a"), untied(g, 150, "b")], 100),
+    ("cap_near_a_twentieth_of_total", lambda g: [untied(g, 150, "a"), untied(g, 150, "b")], 1000),
+    ("cap_far_below_total", lambda g: [untied(g, 150, "a"), untied(g, 150, "b")], 100),
+    ("total_under_twice_cap", lambda g: [untied(g, 150, "a"), untied(g, 150, "b")], 15_000),
     ("heavy_ties_across_blocks", lambda g: [tied(g, BLOCK_ROWS * 2 + 37, 4, "a")], 3000),
     ("block_edges_cap_above_total", lambda g: [untied(g, n, f"e{n}") for n in EDGE_ROWS], 10**6),
     ("block_edges_cap_below_total", lambda g: [untied(g, n, f"e{n}") for n in EDGE_ROWS], 2000),
@@ -91,38 +97,12 @@ class TestBlockedPairsEqualEnumeration:
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
 
-    def test_cases_reach_both_choice_branches(self):
-        """Generator.choice shuffles a tail when total <= 10000 or cap > total // 50, else uses Floyd."""
-        totals = {
-            name: sum(r.ranks.size * (r.ranks.size - 1) // 2 for r in make(np.random.default_rng(0)))
-            for name, make, _ in PAIR_CASES
-            if "floyd" in name or "tail" in name
-        }
-        assert totals["tail_shuffle_above_10000"] > 10_000 and 1000 > totals["tail_shuffle_above_10000"] // 50
-        assert totals["floyd_above_10000"] > 10_000 and 100 <= totals["floyd_above_10000"] // 50
-
-    @pytest.mark.parametrize(
-        "total,cap",
-        [(10001, 201), (10001, 10000), (10500, 10499), (20000, 401), (20000, 1000), (123457, 50000), (9999, 500), (30000, 600)],
-    )
-    @pytest.mark.parametrize("seed", [0, 3, 101])
-    def test_sorted_choice_equals_generator_choice(self, total, cap, seed):
-        want = np.sort(np.random.default_rng(seed).choice(total, size=cap, replace=False))
-        got = ranksvm._sorted_choice(total, cap, seed)
-        assert got.dtype == want.dtype
-        assert np.array_equal(got, want)
-
-    def test_sorted_choice_never_holds_the_population(self):
-        """Choice's tail shuffle fills arange(total), 21.6 MB here; the emulation keeps ~7 cap-length arrays."""
-        total, cap = 2_700_000, 200_000
-        tracemalloc.start()
-        try:
-            got = ranksvm._sorted_choice(total, cap, 1)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert np.array_equal(got, np.sort(np.random.default_rng(1).choice(total, size=cap, replace=False)))
-        assert peak < 10 * 8 * cap < 8 * total
+    def test_cases_reach_both_subset_branches(self):
+        """``_sorted_subset`` calls ``Generator.choice`` below 2 * cap pairs and keeps distinct draws from there on."""
+        ratios = [
+            enumerated_pairs(make(np.random.default_rng(0)), 10**12, 0).shape[0] / cap for _, make, cap in PAIR_CASES
+        ]
+        assert any(1 < r < 2 for r in ratios) and any(r >= 2 for r in ratios)
 
     def test_no_utterances_give_no_pairs(self):
         got = build_pairs([], cap=5, seed=0)
@@ -141,6 +121,75 @@ class TestBlockedPairsEqualEnumeration:
             tracemalloc.stop()
         assert pairs.shape == (200_000, 2)
         assert peak < 25e6
+
+    def test_peak_memory_under_two_and_a_half_kept_pairs_at_9x615_frames(self):
+        """Drawing from an ``arange`` over all 1.7M pair indices took 11.5 MB here, 3.6 x the kept pairs."""
+        rng = np.random.default_rng(12)
+        rols = [untied(rng, 615, f"u{k}") for k in range(9)]
+        tracemalloc.start()
+        try:
+            pairs = build_pairs(rols, cap=200_000, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert pairs.shape == (200_000, 2)
+        assert peak < 2.5 * pairs.nbytes
+
+
+SUBSET_BRANCHES = [(201, 200), (300, 200), (400, 200), (1000, 100), (123_457, 5000)]
+
+
+class TestSortedSubset:
+    @pytest.mark.parametrize("seed", [0, 3, 101])
+    @pytest.mark.parametrize("total,cap", SUBSET_BRANCHES)
+    def test_cap_sorted_distinct_values_in_range(self, total, cap, seed):
+        got = ranksvm._sorted_subset(total, cap, seed)
+        assert got.shape == (cap,)
+        assert np.all(np.diff(got) > 0) and got[0] >= 0 and got[-1] < total
+
+    @pytest.mark.parametrize("total,cap", [(300, 200), (400, 200), (1000, 100)])
+    def test_inclusion_counts_over_seeds_are_uniform(self, total, cap):
+        """Over S seeds each value's count has mean S.p and variance S.p(1 - p), p = cap / total."""
+        seeds = 2000
+        counts = np.zeros(total)
+        for seed in range(seeds):
+            counts[ranksvm._sorted_subset(total, cap, seed)] += 1
+        p = cap / total
+        chi2 = np.sum((counts - seeds * p) ** 2) / (seeds * p)
+        assert abs(chi2 - total * (1 - p)) < 5 * (1 - p) * np.sqrt(2 * total)
+
+    def test_too_few_distinct_draws_are_drawn_again(self, monkeypatch):
+        real = np.random.default_rng
+        sizes = []
+
+        class FirstDrawAllZero:
+            def __init__(self, seed):
+                self.rng = real(seed)
+
+            def integers(self, low, high, size):
+                sizes.append(size)
+                draws = self.rng.integers(low, high, size=size)
+                return np.zeros_like(draws) if len(sizes) == 1 else draws
+
+            def choice(self, *args, **kwargs):
+                return self.rng.choice(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", FirstDrawAllZero)
+        got = ranksvm._sorted_subset(1000, 100, 0)
+        assert len(sizes) == 2 and sizes[0] == sizes[1]
+        assert got.shape == (100,) and np.all(np.diff(got) > 0)
+
+    def test_never_holds_the_population(self):
+        """An ``arange(total)`` alone would take 21.6 MB here; the draws keep a few cap-length arrays."""
+        total, cap = 2_700_000, 200_000
+        tracemalloc.start()
+        try:
+            got = ranksvm._sorted_subset(total, cap, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got.shape == (cap,) and np.all(np.diff(got) > 0) and got[-1] < total
+        assert peak < 10 * 8 * cap < 8 * total
 
 
 class TestTrainRankSVM:
@@ -206,10 +255,12 @@ class TestTrainRankSVM:
             tracemalloc.stop()
         assert peak < 0.5 * n_pairs * dim * 8
 
-    def test_objective_trace_non_increasing_on_pair_differences(self):
+    def test_objective_trace_non_increasing_on_pair_differences(self, monkeypatch):
         rng = np.random.default_rng(3)
-        diffs = rng.normal(size=(300, 8))
-        _, trace = newton_squared_hinge(diffs, np.ones(300), c=0.05, fit_bias=False)
+        features = rng.normal(size=(300, 8))
+        pairs = rng.integers(0, 300, size=(600, 2))
+        _, trace, _ = pair_index_fit(monkeypatch, features, pairs[pairs[:, 0] != pairs[:, 1]], 0.05)
+        assert len(trace) >= 2
         assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
 
 
@@ -330,6 +381,36 @@ def test_updated_hessian_fit_equals_the_rebuilt_hessian_fit(monkeypatch, case):
         assert len(gram_sizes) > len(trace)  # some step took the update
     if case == "no-violators":
         assert 0 in active_counts
+
+
+# 20 x 3000 untied frames, D = 10: OpenBLAS splits an N-length reduction across threads above about 50 000 rows
+RANKER_HASHES = """
+import hashlib
+import numpy as np
+from domm.core import RolSequence, average_ranks
+from domm.ranksvm import build_pairs, train_ranksvm
+
+rng = np.random.default_rng(5)
+rols = [RolSequence.from_ranks(f"u{k}", average_ranks(rng.random(3000))) for k in range(20)]
+x = rng.normal(size=(60_000, 10))
+x[:, 0] += 1e-3 * np.concatenate([r.ranks for r in rols])
+weights = train_ranksvm(x, build_pairs(rols, seed=0)).weights
+v = rng.normal(size=60_000)
+print(hashlib.sha256(weights.tobytes()).hexdigest(), hashlib.sha256((x.T @ v).tobytes()).hexdigest())
+"""
+
+
+def test_ranker_weights_do_not_depend_on_the_blas_thread_count():
+    src = Path(__file__).resolve().parent.parent / "src"
+    hashes = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(src), "OMP_NUM_THREADS": threads, "OPENBLAS_NUM_THREADS": threads}
+        out = subprocess.run([sys.executable, "-c", RANKER_HASHES], env=env, capture_output=True, text=True, check=True)
+        hashes.append(out.stdout.split())
+    (weights_1, product_1), (weights_2, product_2) = hashes
+    if product_1 == product_2:
+        warnings.warn("x.T @ v kept its bits at 2 BLAS threads: OpenBLAS did not split it, so this shows nothing")
+    assert weights_1 == weights_2
 
 
 class TestScoresAndRanks:

@@ -23,29 +23,28 @@ from domm import svm
 from oracles import own_loop_platt, two_pass_newton
 
 
-def finite_difference_gradient(params, inputs, targets, c, fit_bias, h=1e-6):
+def finite_difference_gradient(params, inputs, targets, c, h=1e-6):
     grad = np.zeros_like(params, dtype=float)
     for k in range(params.size):
         up = params.copy()
         down = params.copy()
         up[k] += h
         down[k] -= h
-        f_up, _, _ = objective_and_gradient(up, inputs, targets, c, fit_bias)
-        f_down, _, _ = objective_and_gradient(down, inputs, targets, c, fit_bias)
+        f_up, _, _ = objective_and_gradient(up, inputs, targets, c)
+        f_down, _, _ = objective_and_gradient(down, inputs, targets, c)
         grad[k] = (f_up - f_down) / (2 * h)
     return grad
 
 
-@pytest.mark.parametrize("fit_bias", [True, False])
-def test_gradient_matches_finite_differences(fit_bias):
+def test_gradient_matches_finite_differences():
     rng = np.random.default_rng(7)
     inputs = rng.normal(size=(40, 5))
     targets = np.where(rng.random(40) > 0.5, 1.0, -1.0)
     c = 0.37
     for _ in range(10):
-        params = rng.normal(size=5 + (1 if fit_bias else 0))
-        _, grad, _ = objective_and_gradient(params, inputs, targets, c, fit_bias)
-        fd = finite_difference_gradient(params, inputs, targets, c, fit_bias)
+        params = rng.normal(size=6)
+        _, grad, _ = objective_and_gradient(params, inputs, targets, c)
+        fd = finite_difference_gradient(params, inputs, targets, c)
         scale = max(np.linalg.norm(fd), 1.0)
         assert np.linalg.norm(grad - fd) / scale < 1e-5
 
@@ -70,28 +69,27 @@ def test_newton_stops_at_first_step_that_does_not_lower_the_objective():
     assert all(b < a for a, b in zip(trace, trace[1:]))
 
 
-def separable(seed, fit_bias):
+def separable(seed):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(40, 5))
-    return x, np.where(x @ rng.normal(size=5) > 0, 1.0, -1.0), 100.0, fit_bias
+    return x, np.where(x @ rng.normal(size=5) > 0, 1.0, -1.0), 100.0
 
 
 def flat_noisy_problem():
     # flattens with the gradient norm above GRAD_TOL, so the solve stops on a step that does not lower the objective
     rng = np.random.default_rng(9)
     x = rng.normal(size=(5000, 10))
-    return x, np.sign(x[:, 0] + rng.normal(size=5000)), 1.0, True
+    return x, np.sign(x[:, 0] + rng.normal(size=5000)), 1.0
 
 
 def one_class_on_zero_inputs():
     # the first Newton step puts the bias at exactly 1, so every margin is 0 and no violator remains
-    return np.zeros((6, 3)), np.ones(6), 1e6, True
+    return np.zeros((6, 3)), np.ones(6), 1e6
 
 
 NEWTON_CASES = {
-    "bias": separable(0, True),
-    "no-bias": separable(0, False),
-    "backtracks": separable(1, True),
+    "bias": separable(0),
+    "backtracks": separable(1),
     "non-decreasing-stop": flat_noisy_problem(),
     "no-violators": one_class_on_zero_inputs(),
 }
@@ -99,7 +97,7 @@ NEWTON_CASES = {
 
 @pytest.mark.parametrize("case", sorted(NEWTON_CASES))
 def test_newton_is_bitwise_the_two_pass_oracle_with_one_evaluation_per_iterate(monkeypatch, case):
-    inputs, targets, c, fit_bias = NEWTON_CASES[case]
+    inputs, targets, c = NEWTON_CASES[case]
     evaluate = svm.objective_and_gradient
     calls = []
 
@@ -109,8 +107,8 @@ def test_newton_is_bitwise_the_two_pass_oracle_with_one_evaluation_per_iterate(m
         return result
 
     monkeypatch.setattr(svm, "objective_and_gradient", counted)
-    params, trace = svm.newton_squared_hinge(inputs, targets, c, fit_bias)
-    want_params, want_trace, want_evaluations = two_pass_newton(inputs, targets, c, fit_bias)
+    params, trace = svm.newton_squared_hinge(inputs, targets, c)
+    want_params, want_trace, want_evaluations = two_pass_newton(inputs, targets, c)
 
     assert params.tobytes() == want_params.tobytes()
     assert np.array(trace).tobytes() == np.array(want_trace).tobytes()
@@ -118,7 +116,7 @@ def test_newton_is_bitwise_the_two_pass_oracle_with_one_evaluation_per_iterate(m
     # every point is evaluated once: the accepted iterate is not scored again to build the Hessian
     assert len({point for point, _ in calls}) == len(calls)
     rejected = len(calls) - len(trace)
-    final_grad = np.linalg.norm(evaluate(params, inputs, targets, c, fit_bias)[1])
+    final_grad = np.linalg.norm(evaluate(params, inputs, targets, c)[1])
     if case == "backtracks":
         assert rejected > 0 and final_grad <= svm.GRAD_TOL
     elif case == "non-decreasing-stop":
