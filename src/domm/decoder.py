@@ -1,8 +1,10 @@
 """Log-domain Viterbi decoding over the dynamic state lattice.
 
 The lattice couples per-frame state posteriors with transition
-distributions that depend on the frame's rank difference. The decoded path
-maximizes
+distributions that depend on the frame's rank difference. The decoder
+takes those distributions already evaluated, one 3 x 3 matrix per step,
+so a caller decoding many utterances evaluates the transition model once
+for all of them. The decoded path maximizes
 
     log P(s_1 | x_1) + sum_t [ log P(s_t | s_{t-1}, d_t) + log P(s_t | x_t) ]
 
@@ -19,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from domm.core import AolSequence, DataError
-from domm.transitions import TransitionModel, transition_matrices
 
 __all__ = [
     "StateLattice",
@@ -60,13 +61,23 @@ def framewise_argmax(posteriors: np.ndarray, utterance_id: str = "") -> AolSeque
     return AolSequence(utterance_id, np.argmax(posteriors, axis=1))
 
 
-def viterbi_decode(lattice: StateLattice, model: TransitionModel) -> AolSequence:
-    """Most probable state sequence through the dynamic lattice."""
+def viterbi_decode(lattice: StateLattice, transitions: np.ndarray) -> AolSequence:
+    """Most probable state sequence through the dynamic lattice.
+
+    ``transitions`` holds the lattice's T-1 transition distributions, as
+    ``transitions.transition_matrices`` returns them for ``lattice.deltas``:
+    row [t, i, :] is the distribution of frame t+1's state after state i.
+    """
     t_max = lattice.n_frames
+    if np.shape(transitions) != (t_max - 1, 3, 3):
+        raise DataError(
+            f"{lattice.utterance_id}: need {t_max - 1} x 3 x 3 transition distributions, "
+            f"got shape {np.shape(transitions)}"
+        )
     if t_max == 1:
         return framewise_argmax(lattice.posteriors, lattice.utterance_id)
     log_post = np.log(np.maximum(lattice.posteriors, PROB_FLOOR))
-    log_trans = np.log(np.maximum(transition_matrices(model, lattice.deltas), PROB_FLOOR))
+    log_trans = np.log(np.maximum(transitions, PROB_FLOOR))
     states = np.arange(3)
     back = np.zeros((t_max, 3), dtype=int)
     score = log_post[0]

@@ -13,7 +13,9 @@ Three system variants share one pipeline:
 File I/O stays at the edges: ``load_features`` is the pipeline's one reader
 of feature CSVs, and ``fit_bundle`` and ``decode_features`` take its
 utterance-id -> frames mapping and read no files. ``run_xval`` loads and
-checks every utterance once, before the first fold.
+checks every utterance once, before the first fold. ``decode_features``
+builds every utterance's lattice before it evaluates the transition model,
+once for all of them.
 
 All randomness derives from the experiment seed (per-fold seeds are split
 deterministically from it), so reports and bundles are reproducible byte
@@ -53,7 +55,7 @@ from domm.metrics import DegenerateMarginalsError, kendall_tau, precision_at_k, 
 from domm.omsvm import DIRECTIONS, state_posteriors, train_omsvm
 from domm.ranksvm import build_pairs, ranks_from_scores, train_ranksvm
 from domm.svm import decision_values, fit_standardization
-from domm.transitions import fit_transition_model
+from domm.transitions import fit_transition_model, transition_matrices
 
 __all__ = [
     "EVAL_KS",
@@ -242,12 +244,15 @@ def decode_features(
     The bundle z-scores each utterance's frames once, for the classifier and
     the ranker. Without a transition model decoding is the framewise
     posterior argmax. With one, rank differences come from the ranker when
-    present, otherwise from ``truth_labels`` (the upper-bound variant).
+    present, otherwise from ``truth_labels`` (the upper-bound variant). Every
+    utterance's lattice is built first, so the transition model is evaluated
+    once, on all their rank differences, and each Viterbi run takes its slice.
     """
     if not features:
         raise DataError("empty decode split")
     pred_aols: dict[str, AolSequence] = {}
     pred_rols: dict[str, RolSequence] = {}
+    lattices: list[StateLattice] = []
     for uid, frames in features.items():
         z = bundle.standardize(frames)
         post = _adjusted_posteriors(bundle, z, config.divide_by_prior)
@@ -266,8 +271,12 @@ def decode_features(
             rol = truth_labels[uid][1]
             if len(rol) != len(frames):
                 raise DataError(f"{uid!r}: {len(frames)} feature frames but {len(rol)} truth ranks")
-        lattice = StateLattice(uid, post, rol.deltas(bundle.transitions.use_normalized_ranks))
-        pred_aols[uid] = viterbi_decode(lattice, bundle.transitions)
+        lattices.append(StateLattice(uid, post, rol.deltas(bundle.transitions.use_normalized_ranks)))
+    if lattices:
+        steps = transition_matrices(bundle.transitions, np.concatenate([lat.deltas for lat in lattices]))
+        ends = np.cumsum([lat.deltas.size for lat in lattices])
+        for lattice, trans in zip(lattices, np.split(steps, ends[:-1])):
+            pred_aols[lattice.utterance_id] = viterbi_decode(lattice, trans)
     return pred_aols, pred_rols
 
 

@@ -18,6 +18,7 @@ import numpy as np
 from domm.core import (
     AnnotationSet,
     Config,
+    DataError,
     ThresholdConfig,
     UtteranceFeatures,
     is_positive,
@@ -57,6 +58,14 @@ class SynthConfig(Config):
             ("frame_period_s", is_positive(self.frame_period_s), "a positive number"),
             ("seed", is_positive(self.seed, integral=True, or_zero=True), "an integer >= 0"),
         )
+        # the corpus, the mixing matrix and the delay draw's bound must each fit numpy's int64
+        cells = self.n_utterances * self.frames_per_utterance * (self.feature_dim + self.n_annotators + 1)
+        if max(cells, self.feature_dim**2, self.annotator_delay_frames + 1) > np.iinfo(np.int64).max:
+            raise DataError(
+                f"SynthConfig sizes must fit int64, got {cells} corpus cells (utterances x frames x "
+                f"(features + annotators + 1)), feature_dim {self.feature_dim} squared and "
+                f"annotator_delay_frames {self.annotator_delay_frames} + 1"
+            )
 
 
 @dataclass(frozen=True)

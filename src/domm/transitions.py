@@ -17,7 +17,10 @@ built the prior are not stored.
 The training differences of tied-average ranks repeat, so the densities
 evaluate each Gaussian kernel once per distinct sample value and skip the
 kernels that underflow to zero; the result is the same bytes as the plain
-sum over every sample.
+sum over every sample. The decoded differences repeat too, most of all
+across utterances of equal length, which share one normalized rank grid,
+so ``transition_matrices`` evaluates the densities once per distinct
+query and expands the result, again with the same bytes.
 """
 
 from __future__ import annotations
@@ -198,11 +201,12 @@ def transition_matrices(model: TransitionModel, deltas) -> np.ndarray:
     Returns an array of shape (len(deltas), 3, 3) whose [t, i, :] row is the
     Bayes-fused distribution over current states given previous state i and
     rank difference deltas[t]: prior times conditional density, each row scaled
-    to sum to one.
+    to sum to one. Each distinct difference is evaluated once and its matrix
+    copied to every position that holds it.
     """
-    d = np.asarray(deltas, dtype=float)
-    q = np.empty((d.size, 3, 3))
+    values, where = np.unique(np.asarray(deltas, dtype=float).reshape(-1), return_inverse=True)
+    q = np.empty((values.size, 3, 3))
     for i in range(3):
         for j in range(3):
-            q[:, i, j] = kde_density(model.conditional_kdes[i][j], d) * model.prior[i, j]
-    return q / q.sum(axis=2, keepdims=True)
+            q[:, i, j] = kde_density(model.conditional_kdes[i][j], values) * model.prior[i, j]
+    return (q / q.sum(axis=2, keepdims=True))[where]

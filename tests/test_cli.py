@@ -1069,6 +1069,28 @@ class TestSweepAndSynth:
         assert result.exit_code == 2, result.output
         assert result.output.startswith("error:") and not out.exists()
 
+    @pytest.mark.parametrize(
+        "sizes",
+        [
+            {"n_utterances": 10**30},
+            {"frames_per_utterance": 10**30},
+            {"feature_dim": 10**30},
+            {"n_annotators": 10**30},
+            {"annotator_delay_frames": 10**30},
+            {"n_utterances": 2**31, "frames_per_utterance": 2**32},
+        ],
+        ids=["utterances", "frames", "features", "annotators", "delay", "utterances-x-frames"],
+    )
+    def test_synth_sizes_beyond_int64_exit_2(self, tmp_path, sizes):
+        # found by test_one_mutated_json_value_exits_0_or_2: 1e30 frames, features, annotators or delay
+        # frames raised ValueError (exit 1), and 1e30 utterances ran without end
+        config = SynthConfig(n_utterances=2, frames_per_utterance=20, feature_dim=2, n_annotators=3).to_dict()
+        (tmp_path / "synth.json").write_text(json.dumps({**config, **sizes}))
+        out = tmp_path / "synthetic"
+        result = run_cli("synth", "--config", tmp_path / "synth.json", "--out", out)
+        assert_exit_2(result, "must fit int64")
+        assert not out.exists()
+
     def test_synth_command_round_trip(self, tmp_path):
         out = tmp_path / "synthetic"
         result = run_cli("synth", "--out", out, "--seed", 77, "--utterances", 4, "--frames", 30)
@@ -1192,18 +1214,22 @@ def test_ranker_bundle_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
 
 
 def target_json(target, corpus_dir, domm_rs_bundle):
-    """The manifest (with absolute paths), the default experiment config or the domm-rs bundle, parsed."""
+    """The manifest (with absolute paths), the default experiment config, a small synth config or the
+    domm-rs bundle, parsed."""
     if target == "manifest":
         return relocatable_manifest(corpus_dir)
     if target == "config":
         return ExperimentConfig().to_dict()
+    if target == "synth":
+        return SynthConfig(n_utterances=2, frames_per_utterance=20, feature_dim=2, n_annotators=3).to_dict()
     return json.loads(domm_rs_bundle.read_text())
 
 
 def run_on_edited_json(target, edit, corpus_dir, domm_rs_bundle, work: Path):
     """Run the command that reads ``target`` on an edited copy of it, with ``--out`` at ``work / "out"``.
 
-    ``convert`` reads the manifest, ``train --config`` the config and ``decode --bundle`` the bundle.
+    ``convert`` reads the manifest, ``train --config`` the config, ``synth --config`` the synth config
+    and ``decode --bundle`` the bundle.
     """
     raw = target_json(target, corpus_dir, domm_rs_bundle)
     edit(raw)
@@ -1213,6 +1239,7 @@ def run_on_edited_json(target, edit, corpus_dir, domm_rs_bundle, work: Path):
     args = {
         "manifest": ("convert", "--manifest", path),
         "config": ("train", "--manifest", manifest, "--labels", domm_rs_bundle.parent / "labels", "--config", path),
+        "synth": ("synth", "--config", path),
         "bundle": ("decode", "--bundle", path, "--manifest", manifest),
     }[target]
     return run_cli(*args, "--out", work / "out")
@@ -1231,12 +1258,13 @@ HUGE_INT = 10**400
         ("config", lambda raw: raw.update(svm_c=HUGE_INT)),
         ("config", lambda raw: raw.update(rank_c=HUGE_INT)),
         ("config", lambda raw: raw.update(bandwidth=HUGE_INT)),
+        ("synth", lambda raw: raw.update(annotation_scale=HUGE_INT)),
         ("bundle", lambda raw: raw.update(class_counts=10**30)),
         ("bundle", lambda raw: raw.update(format_version=10**30)),
         ("bundle", lambda raw: raw["ranksvm"]["weights"].__setitem__(0, HUGE_INT)),
     ],
     ids=[
-        "theta2", "window_s", "value_range", "svm_c", "rank_c", "bandwidth",
+        "theta2", "window_s", "value_range", "svm_c", "rank_c", "bandwidth", "annotation_scale",
         "class_counts-1e30", "format_version-1e30", "ranker-weight",
     ],
 )
@@ -1278,7 +1306,7 @@ def mutated(path, mutation):
 @given(data=st.data())
 def test_one_mutated_json_value_exits_0_or_2(corpus_dir, domm_rs_bundle, tmp_path_factory, data):
     """The README's contract on JSON inputs: exit 0, or exit 2 with an ``error:`` line; never a traceback."""
-    target = data.draw(st.sampled_from(["manifest", "config", "bundle"]), label="target")
+    target = data.draw(st.sampled_from(["manifest", "config", "synth", "bundle"]), label="target")
     paths = list(json_paths(target_json(target, corpus_dir, domm_rs_bundle)))
     path = data.draw(st.sampled_from(paths), label="path")
     mutation = data.draw(st.sampled_from(["drop", *MUTATIONS]), label="mutation")
@@ -1315,10 +1343,25 @@ def run_round_trip(corpus: Path) -> list:
     return results
 
 
+def run_xval_and_sweep(corpus: Path) -> list:
+    """``xval`` over the split tags and a one-point ``sweep`` over every utterance of ``corpus``."""
+    manifest = corpus / "manifest.json"
+    return [
+        run_cli("xval", "--manifest", manifest, "--out", corpus / "xval"),
+        run_cli(
+            "sweep", "--manifest", manifest, "--split", "all", "--out", corpus / "sweep",
+            "--theta2-min", 0.2, "--theta2-max", 0.2,
+        ),
+    ]
+
+
 def test_tiny_corpus_round_trips(tiny_corpus, tmp_path):
     corpus = tmp_path / "corpus"
     shutil.copytree(tiny_corpus, corpus)
     assert [result.exit_code for result in run_round_trip(corpus)] == [0, 0, 0, 0]
+    xval, sweep = run_xval_and_sweep(corpus)
+    assert (xval.exit_code, sweep.exit_code) == (0, 0), xval.output + sweep.output
+    assert json.loads((corpus / "xval" / "report.json").read_text())["aggregate"]["n_folds"] == 2
 
 
 FILE_MUTATIONS = [
@@ -1377,7 +1420,7 @@ def test_one_mutated_file_exits_0_or_2(tiny_corpus, tmp_path_factory, data):
     corpus = tmp_path_factory.mktemp("file_mutation") / "corpus"
     shutil.copytree(tiny_corpus, corpus)
     draw_file_mutation(corpus, data)
-    for result in run_round_trip(corpus):
+    for result in run_round_trip(corpus) + run_xval_and_sweep(corpus):
         assert result.exit_code in (0, 2), result.output
         assert result.exception is None or isinstance(result.exception, SystemExit), result.output
         if result.exit_code == 2:

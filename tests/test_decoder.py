@@ -48,14 +48,16 @@ class TestViterbi:
     def test_single_frame_is_posterior_argmax(self):
         model = fitted_model()
         lattice = StateLattice("u", np.array([[0.2, 0.5, 0.3]]), np.empty(0))
-        np.testing.assert_array_equal(viterbi_decode(lattice, model).labels, [M])
+        np.testing.assert_array_equal(
+            viterbi_decode(lattice, transition_matrices(model, lattice.deltas)).labels, [M]
+        )
 
     def test_uniform_transitions_reduce_to_framewise_argmax(self):
         model = uniform_model(fitted_model())
         rng = np.random.default_rng(1)
         for _ in range(20):
             lattice = random_lattice(rng, int(rng.integers(2, 15)))
-            decoded = viterbi_decode(lattice, model)
+            decoded = viterbi_decode(lattice, transition_matrices(model, lattice.deltas))
             np.testing.assert_array_equal(
                 decoded.labels, framewise_argmax(lattice.posteriors).labels
             )
@@ -66,7 +68,7 @@ class TestViterbi:
         for trial in range(60):
             lattice = random_lattice(rng, int(rng.integers(1, 9)), quantize=trial % 2 == 1)
             np.testing.assert_array_equal(
-                viterbi_decode(lattice, model).labels,
+                viterbi_decode(lattice, transition_matrices(model, lattice.deltas)).labels,
                 brute_force_decode(lattice, model).labels,
                 err_msg=f"trial {trial}",
             )
@@ -75,7 +77,7 @@ class TestViterbi:
         model = fitted_model()
         post = np.array([[0.3, 0.4, 0.3], [1.0, 0.0, 0.0], [0.3, 0.4, 0.3]])
         lattice = StateLattice("u", post, np.zeros(2))
-        assert viterbi_decode(lattice, model).labels[1] == L
+        assert viterbi_decode(lattice, transition_matrices(model, lattice.deltas)).labels[1] == L
 
     def test_objective_at_least_framewise_path(self):
         model = fitted_model()
@@ -91,7 +93,7 @@ class TestViterbi:
 
         for _ in range(20):
             lattice = random_lattice(rng, 10)
-            decoded = viterbi_decode(lattice, model).labels
+            decoded = viterbi_decode(lattice, transition_matrices(model, lattice.deltas)).labels
             greedy = framewise_argmax(lattice.posteriors).labels
             assert score_path(lattice, decoded) >= score_path(lattice, greedy) - 1e-12
 
@@ -117,6 +119,19 @@ class TestViterbi:
             base = score(lattice.posteriors, path)
             scaled = score(lattice.posteriors * scales[:, None], path)
             assert scaled - base == pytest.approx(shift, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "shape", [(4, 3, 3), (6, 3, 3), (5, 3), (5, 3, 2), (5, 2, 3), (15, 3), (5, 9)], ids=str
+    )
+    def test_transitions_not_t_minus_1_by_3_by_3_rejected(self, shape):
+        lattice = random_lattice(np.random.default_rng(6), 6)
+        with pytest.raises(DataError, match="transition distributions"):
+            viterbi_decode(lattice, np.full(shape, 1.0 / 3.0))
+
+    def test_single_frame_needs_empty_transitions(self):
+        lattice = StateLattice("u", np.array([[0.2, 0.5, 0.3]]), np.empty(0))
+        with pytest.raises(DataError, match="transition distributions"):
+            viterbi_decode(lattice, np.full((1, 3, 3), 1.0 / 3.0))
 
     def test_empty_lattice_rejected(self):
         with pytest.raises(DataError):

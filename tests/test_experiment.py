@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.stats import rankdata
 
 from domm import experiment
 from domm.bundle import ModelBundle
@@ -21,6 +22,7 @@ from domm.metrics import kendall_tau
 from domm.omsvm import OmsvmModel, state_posteriors
 from domm.svm import LinearModel, PlattCalibration
 from domm.synth import SynthConfig, generate_corpus, write_corpus
+from domm.transitions import transition_matrices
 
 
 def test_divide_by_prior_is_posterior_over_training_prior_renormalized():
@@ -84,6 +86,38 @@ def test_fit_and_decode_read_no_files(corpus, monkeypatch, variant):
     assert list(pred_aols) == list(test)
     assert [len(a) for a in pred_aols.values()] == [len(f) for f in test.values()]
     assert bool(pred_rols) == (variant == "domm-rs")
+
+
+@pytest.mark.parametrize("variant", ["domm-rs", "domm-gt"])
+def test_decoding_utterances_together_equals_one_at_a_time(corpus, monkeypatch, variant):
+    manifest, labels, features = corpus
+    uids = [u.utterance_id for u in manifest.utterances]
+    bundle = fit_bundle({uid: features[uid] for uid in uids[:4]}, labels, ExperimentConfig(variant=variant))
+    # one frame, one shortened utterance and two of the full, equal length
+    cuts = {"one": (uids[4], 1), "short": (uids[5], 37)}
+    test = {uid: features[source][:n] for uid, (source, n) in cuts.items()}
+    test.update({uid: features[uid] for uid in uids[4:]})
+    truth = dict(labels)
+    for uid, (source, n) in cuts.items():
+        aol, rol = labels[source]
+        truth[uid] = (AolSequence(uid, aol.labels[:n]), RolSequence.from_ranks(uid, rankdata(rol.ranks[:n])))
+    config = ExperimentConfig(variant=variant)
+    calls = []
+
+    def counting(model, deltas):
+        calls.append(np.size(deltas))
+        return transition_matrices(model, deltas)
+
+    monkeypatch.setattr(experiment, "transition_matrices", counting)
+    together = decode_features(bundle, test, config, truth)
+    assert calls == [sum(len(frames) - 1 for frames in test.values())]
+    alone = [decode_features(bundle, {uid: frames}, config, truth) for uid, frames in test.items()]
+    assert list(together[0]) == list(test)
+    for (aols, rols), uid in zip(alone, test):
+        assert np.array_equal(together[0][uid].labels, aols[uid].labels)
+        assert (uid in together[1]) == (uid in rols) == (variant == "domm-rs")
+        if variant == "domm-rs":
+            assert np.array_equal(together[1][uid].ranks, rols[uid].ranks)
 
 
 def long_utterance_peaks(n_frames: int) -> dict[str, float]:

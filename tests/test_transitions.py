@@ -366,3 +366,47 @@ class TestTransitionDistribution:
 
         assert kdes(back) == kdes(model)
         assert back.use_normalized_ranks is model.use_normalized_ranks
+
+
+class TestDistinctDeltas:
+    """transition_matrices evaluates the densities once per distinct rank difference."""
+
+    @staticmethod
+    def _model_and_deltas():
+        rng = np.random.default_rng(23)
+        values = np.cumsum(rng.normal(size=120))
+        labels = np.digitize(values, np.percentile(values, [33, 66]))
+        model = make_model([(labels, values)])
+        utterance = RolSequence.from_ranks("u", rankdata(values, method="average")).deltas(True)
+        deltas = np.concatenate([
+            np.full(50, 0.125),
+            [0.0, -0.0, 0.0, -0.0],
+            utterance,
+            rng.uniform(-1, 1, 17),
+            utterance,
+        ])
+        return model, deltas
+
+    def test_equals_each_delta_evaluated_alone(self):
+        model, deltas = self._model_and_deltas()
+        alone = np.empty((deltas.size, 3, 3))
+        for t, d in enumerate(deltas):
+            for i in range(3):
+                for j in range(3):
+                    alone[t, i, j] = kde_density(model.conditional_kdes[i][j], d) * model.prior[i, j]
+            alone[t] /= alone[t].sum(axis=1, keepdims=True)
+        assert np.array_equal(transition_matrices(model, deltas), alone)
+
+    def test_one_density_query_per_distinct_delta(self, monkeypatch):
+        model, deltas = self._model_and_deltas()
+        distinct = np.unique(deltas).size
+        assert distinct < deltas.size / 2
+        sizes = []
+
+        def counting(kde, delta):
+            sizes.append(np.size(delta))
+            return kde_density(kde, delta)
+
+        monkeypatch.setattr("domm.transitions.kde_density", counting)
+        transition_matrices(model, deltas)
+        assert sizes == [distinct] * 9
